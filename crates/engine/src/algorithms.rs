@@ -296,7 +296,8 @@ fn solve_prr_boost_lb(engine: &mut Engine) -> Result<Solution, KboostError> {
     let source = PrrLbSource::new(engine.graph(), engine.seeds(), engine.config().k);
     let (result, pool, estimate, interrupted) = match engine.config().sampling {
         Sampling::Imm => {
-            let (run, interrupted) = run_imm_within(&source, &engine.imm_params(), &term);
+            let (run, interrupted) =
+                run_imm_within(&source, &engine.imm_params(), &term, engine.obs());
             let estimate =
                 n as f64 * run.result.covered as f64 / run.pool.total_samples().max(1) as f64;
             (run.result, run.pool, estimate, interrupted)
@@ -311,7 +312,8 @@ fn solve_prr_boost_lb(engine: &mut Engine) -> Result<Solution, KboostError> {
                 threads: cfg.threads,
                 seed: cfg.seed,
             };
-            let (run, interrupted) = kboost_rrset::ssa::run_ssa_within(&source, &params, &term);
+            let (run, interrupted) =
+                kboost_rrset::ssa::run_ssa_within(&source, &params, &term, engine.obs());
             // The validation pool never influenced selection, so its
             // estimate of µ̂ is the unbiased one to report.
             (run.result, run.pool, run.validated_estimate, interrupted)

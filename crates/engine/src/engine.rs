@@ -444,6 +444,12 @@ impl Engine {
         self.pending.take()
     }
 
+    /// The engine's observability handle, for pools sampled outside the
+    /// engine pool (PRR-Boost-LB under adaptive sampling).
+    pub(crate) fn obs(&self) -> &Obs {
+        &self.obs
+    }
+
     /// Records whether the engine-pool build was stopped early.
     pub(crate) fn build_interrupted(&self) -> bool {
         self.interrupted
@@ -455,7 +461,8 @@ impl Engine {
                 let t0 = Instant::now();
                 let g = self.graph.as_ref().expect("offline engine owns the graph");
                 let source = PrrFullSource::new(g, &self.seeds, self.cfg.k);
-                let (run, interrupted) = run_imm_within(&source, &self.imm_params(), term);
+                let (run, interrupted) =
+                    run_imm_within(&source, &self.imm_params(), term, &self.obs);
                 let peak_bytes = run.pool.shard().memory_bytes() + run.pool.cover_memory_bytes();
                 let pool = PrrPool::new(run.pool, g.num_nodes(), self.cfg.threads);
                 self.interrupted = interrupted;
@@ -479,7 +486,7 @@ impl Engine {
                     threads: self.cfg.threads,
                     seed: self.cfg.seed,
                 };
-                let (run, interrupted) = run_ssa_within(&source, &params, term);
+                let (run, interrupted) = run_ssa_within(&source, &params, term, &self.obs);
                 let peak_bytes = run.pool.shard().memory_bytes() + run.pool.cover_memory_bytes();
                 let pool = PrrPool::new(run.pool, g.num_nodes(), self.cfg.threads);
                 self.interrupted = interrupted;

@@ -17,18 +17,48 @@
 //! so `C_R` is exactly the heads of super-seed edges that live-reach the
 //! root.
 //!
-//! # Allocation discipline
+//! # Output-sensitive core
 //!
-//! Compression runs once per boostable sample, which puts it squarely on
-//! the sampling hot path. All working state — the global→local id map
-//! (epoch-stamped, the same stamp/round trick the phase-I scratch uses),
-//! the staged CSR adjacencies, the 0-1 BFS distance arrays and deque, the
-//! reachability flags — lives in a thread-local [`CompressScratch`] whose
-//! buffers are reused across samples; steady-state compression performs no
-//! heap allocation beyond growing the output [`CompressedParts`]. Every
-//! intermediate ordering (local ids by first appearance, per-node
-//! adjacency in edge-scan order, critical nodes in super-seed edge order)
-//! is insertion-driven, never hash-iteration-driven, so the output is
+//! A boostable raw graph can span most of the host graph while its
+//! compressed form keeps a handful of edges, so only one pass and one DFS
+//! touch the whole raw graph:
+//!
+//! 1. **One pass** over the raw edges records each head's in-edge block
+//!    and chains every live edge onto its tail's live out-edge list.
+//! 2. **X** is a DFS over those chains from the seeds.
+//! 3. **F**, the non-X nodes that reach the root without passing through
+//!    X, comes with every `d'_r` out of one backward 0-1 BFS from the root
+//!    over the in-edge blocks that never enters X. In-edges from X become
+//!    super-seed edges, in first-seen (lowest edge index) order.
+//! 4. `d_S`, the budget filter, the shortcuts, the forward DFS, the
+//!    relabelling and the critical set run on F ∪ {super-seed} alone.
+//!
+//! Step 4 is exact (byte-identical to running it on the super-seed and
+//! every non-X node) by two lemmas:
+//!
+//! * **Paths into F stay in F.** Every node on a super-seed→`v` path with
+//!   `v ∈ F` reaches the root through `v` without touching X, so it is in
+//!   F. `d_S` is therefore exact on F, and nodes outside F have
+//!   `d'_r = ∞` and fail the budget filter.
+//! * **In the shortcut graph, backward reachability to the root equals the
+//!   budget filter.** A kept node with `d'_r = 0` has its shortcut edge to
+//!   the root; one with `d'_r > 0` keeps its out-edges, and the next node
+//!   on a cheapest path to the root has `d'_r` smaller by that edge's
+//!   weight and `d_S` larger by at most that weight, so it is kept too.
+//!   Rule 4 therefore needs only the forward DFS from the super-seed.
+//!
+//! **Grouping precondition.** Phase I expands each node at most once and
+//! emits all of its non-blocked in-edges while doing so, so every head's
+//! in-edges are contiguous (see [`RawPrr::edges`]). The pass addresses a
+//! node's in-edges as `edges[lo..hi]` and checks the grouping with a
+//! release `assert!`: a reopened block is a phase-I bug.
+//!
+//! All working state lives in a thread-local [`CompressScratch`] reused
+//! across samples, so steady-state compression allocates nothing beyond
+//! growing the output [`CompressedParts`]. Every output ordering (local
+//! ids by first appearance, per-node adjacency in edge-scan order,
+//! critical nodes in super-seed edge order) is fixed by raw-local ids and
+//! edge indices, never by traversal or hash order, so the output is
 //! deterministic and identical to the historical `HashMap`-based
 //! implementation.
 
@@ -40,6 +70,14 @@ use crate::gen::RawPrr;
 use crate::graph::{CompressedPrr, SUPER_SEED};
 
 const INF: u32 = u32::MAX;
+/// End of a live out-edge chain.
+const NIL: u32 = u32::MAX;
+/// Backward-BFS label of a node merged into the super-seed.
+const IN_X: u32 = u32::MAX - 1;
+/// F-space id of the super-seed; F's own nodes follow in discovery order,
+/// so the root, discovered first, is always 1.
+const SUPER_F: u32 = 0;
+const ROOT_F: u32 = 1;
 
 /// Packed local-edge encoding shared with the phase-I kernel: an edge
 /// `(from, to, is_boost)` in raw-local ids is stored as
@@ -56,7 +94,7 @@ pub(crate) const LEDGE_MASK: u32 = LEDGE_BOOST - 1;
 /// in CSR form (`adj_off` has `globals.len() + 1` entries, `adj_off[0] ==
 /// 0`) so the kernel path can reuse one `CompressedParts` across samples
 /// without per-node `Vec`s.
-#[derive(Default)]
+#[derive(Default, Debug, PartialEq)]
 pub(crate) struct CompressedParts {
     /// Local id of the root.
     pub root: u32,
@@ -90,7 +128,8 @@ impl CompressedParts {
 /// `seed_locals`) is only exercised by the scalar path
 /// ([`compress_parts_into`]): the kernel emits raw-local ids straight out
 /// of phase I and enters through [`compress_locals_into`], which skips the
-/// global→local assign pass entirely and uses just the [`CoreScratch`].
+/// global→local assign pass entirely and uses just the [`FScratch`].
+#[derive(Default)]
 struct CompressScratch {
     // Epoch-stamped global → raw-local id map, grown on demand to cover
     // the largest global id seen.
@@ -101,86 +140,53 @@ struct CompressScratch {
     nodes: Vec<u32>,
     ledges: Vec<(u32, u32)>,
     seed_locals: Vec<u32>,
-    core: CoreScratch,
+    core: FScratch,
 }
 
-/// The compression core's working state, shared by the scalar and kernel
-/// entry points; everything here is indexed by raw-local or stage-local
-/// ids only.
-struct CoreScratch {
-    live_off: Vec<u32>,
-    live_adj: Vec<u32>,
-    in_x: Vec<bool>,
+/// What the one pass, the X DFS and the backward BFS know about a
+/// raw-local node.
+#[derive(Clone, Copy)]
+struct RawNode {
+    /// The node's in-edge block `ledges[lo..hi]`; `hi == 0` until opened.
+    lo: u32,
+    hi: u32,
+    /// Latest entry of the node's live out-edge chain, or [`NIL`].
+    live: u32,
+    /// Backward 0-1 BFS label: `d'_r`, [`INF`] if unreached, or [`IN_X`].
+    d_r: u32,
+}
+
+/// The compression core's working state: the raw-node table of the one
+/// pass, and the F-space arrays (super-seed [`SUPER_F`], then F in
+/// discovery order) everything after the backward BFS runs on.
+#[derive(Default)]
+struct FScratch {
+    raw: Vec<RawNode>,
+    /// Live out-edge chains: `(head, next entry or NIL)`.
+    chain: Vec<(u32, u32)>,
     stack: Vec<u32>,
-    // Stage space (super-seed 0 + non-X nodes).
-    stage_of: Vec<u32>,
-    stage_nodes: Vec<u32>,
+    deque: VecDeque<(u32, u32)>,
+    /// Raw-local → F-space id; only read for nodes the BFS reached, so it
+    /// is grown but never cleared.
+    fid: Vec<u32>,
+    /// F-space → raw-local id (`SUPER_SEED` for the super-seed).
+    f_local: Vec<u32>,
+    /// Super-seed edges as `(first edge index, F-space head)`.
+    sup: Vec<(u32, u32)>,
+    /// Edges inside F as `(F-space tail, edge index, F-space head)`.
+    inner: Vec<(u32, u32, u32)>,
     out_off: Vec<u32>,
     out_adj: Vec<(u32, bool)>,
-    super_heads: Vec<u32>,
-    in_off: Vec<u32>,
-    in_adj: Vec<(u32, bool)>,
-    out2_off: Vec<u32>,
-    out2_adj: Vec<(u32, bool)>,
-    in2_off: Vec<u32>,
-    in2_adj: Vec<u32>,
     d_s: Vec<u32>,
-    d_r: Vec<u32>,
-    deque: VecDeque<(u32, u32)>,
-    fwd_seen: Vec<bool>,
-    bwd_seen: Vec<bool>,
+    seen: Vec<bool>,
+    /// Surviving F nodes as `(raw-local id, F-space id)`.
+    order: Vec<(u32, u32)>,
     final_of: Vec<u32>,
-    stage_of_final: Vec<u32>,
-    cursor: Vec<u32>,
-}
-
-impl CompressScratch {
-    fn new() -> Self {
-        CompressScratch {
-            gstamp: Vec::new(),
-            glocal: Vec::new(),
-            round: 0,
-            nodes: Vec::new(),
-            ledges: Vec::new(),
-            seed_locals: Vec::new(),
-            core: CoreScratch::new(),
-        }
-    }
-}
-
-impl CoreScratch {
-    fn new() -> Self {
-        CoreScratch {
-            live_off: Vec::new(),
-            live_adj: Vec::new(),
-            in_x: Vec::new(),
-            stack: Vec::new(),
-            stage_of: Vec::new(),
-            stage_nodes: Vec::new(),
-            out_off: Vec::new(),
-            out_adj: Vec::new(),
-            super_heads: Vec::new(),
-            in_off: Vec::new(),
-            in_adj: Vec::new(),
-            out2_off: Vec::new(),
-            out2_adj: Vec::new(),
-            in2_off: Vec::new(),
-            in2_adj: Vec::new(),
-            d_s: Vec::new(),
-            d_r: Vec::new(),
-            deque: VecDeque::new(),
-            fwd_seen: Vec::new(),
-            bwd_seen: Vec::new(),
-            final_of: Vec::new(),
-            stage_of_final: Vec::new(),
-            cursor: Vec::new(),
-        }
-    }
 }
 
 thread_local! {
     static CSCRATCH: std::cell::RefCell<CompressScratch> =
-        std::cell::RefCell::new(CompressScratch::new());
+        std::cell::RefCell::new(CompressScratch::default());
 }
 
 /// Compresses a phase-I raw PRR-graph into a standalone [`CompressedPrr`].
@@ -190,6 +196,10 @@ thread_local! {
 ///
 /// The sampling hot path does not go through this function: it uses
 /// [`compress_parts_into`] and appends directly into an arena shard.
+///
+/// # Panics
+///
+/// If `raw.edges` is not grouped by head (see [`RawPrr::edges`]).
 pub fn compress(raw: &RawPrr, k: usize) -> Option<CompressedPrr> {
     compress_parts(raw, k).map(CompressedPrr::from_parts)
 }
@@ -198,11 +208,7 @@ pub fn compress(raw: &RawPrr, k: usize) -> Option<CompressedPrr> {
 /// the single-sample convenience wrapper over [`compress_parts_into`].
 pub(crate) fn compress_parts(raw: &RawPrr, k: usize) -> Option<CompressedParts> {
     let mut parts = CompressedParts::default();
-    if compress_parts_into(raw.root, &raw.edges, &raw.seeds, k, &mut parts) {
-        Some(parts)
-    } else {
-        None
-    }
+    compress_parts_into(raw.root, &raw.edges, &raw.seeds, k, &mut parts).then_some(parts)
 }
 
 /// Phase-II compression over *global*-id phase-I output: localizes the
@@ -289,14 +295,6 @@ pub(crate) fn compress_locals_into(
     CSCRATCH.with_borrow_mut(|s| compress_core(globals, ledges, lseeds, k, parts, &mut s.core))
 }
 
-/// In-place prefix sum: `off[i] += off[i-1]`, turning per-node counts
-/// stored at `off[v + 1]` into CSR offsets.
-fn prefix_sum(off: &mut [u32]) {
-    for i in 1..off.len() {
-        off[i] += off[i - 1];
-    }
-}
-
 /// 0-1 BFS over a CSR adjacency: boost edges weigh 1, live edges 0.
 /// Reuses the caller's distance vector and deque.
 fn zero_one_bfs_csr(
@@ -331,296 +329,217 @@ fn zero_one_bfs_csr(
     }
 }
 
+/// The output-sensitive core (see the module docs). Raw-local ids are
+/// first-appearance ordered with the root at 0 — guaranteed by both the
+/// scalar localization and the phase-I kernel.
 fn compress_core(
     nodes: &[u32],
     ledges: &[(u32, u32)],
     seed_locals: &[u32],
     k: usize,
     parts: &mut CompressedParts,
-    s: &mut CoreScratch,
+    s: &mut FScratch,
 ) -> bool {
     let k = k as u32;
     parts.clear();
 
-    let CoreScratch {
-        live_off,
-        live_adj,
-        in_x,
+    let FScratch {
+        raw,
+        chain,
         stack,
-        stage_of,
-        stage_nodes,
+        deque,
+        fid,
+        f_local,
+        sup,
+        inner,
         out_off,
         out_adj,
-        super_heads,
-        in_off,
-        in_adj,
-        out2_off,
-        out2_adj,
-        in2_off,
-        in2_adj,
         d_s,
-        d_r,
-        deque,
-        fwd_seen,
-        bwd_seen,
+        seen,
+        order,
         final_of,
-        stage_of_final,
-        cursor,
     } = s;
 
-    // Raw-local ids are first-appearance ordered with the root at 0 —
-    // guaranteed by both the scalar localization and the phase-I kernel.
-    let root_l: u32 = 0;
-    let n0 = nodes.len();
+    // ---- One pass: in-edge blocks by head, live out-edge chains by tail
+    raw.clear();
+    raw.resize(
+        nodes.len(),
+        RawNode {
+            lo: 0,
+            hi: 0,
+            live: NIL,
+            d_r: INF,
+        },
+    );
+    chain.clear();
+    let mut head = NIL;
+    for (e, &(u, pv)) in ledges.iter().enumerate() {
+        let (e, v) = (e as u32, pv & LEDGE_MASK);
+        if v != head {
+            if head != NIL {
+                raw[head as usize].hi = e;
+            }
+            // A closed block has `hi > lo ≥ 0`.
+            assert!(
+                raw[v as usize].hi == 0,
+                "raw PRR edges must be grouped by head: the in-edges of local node {v} \
+                 reopen at edge {e}"
+            );
+            raw[v as usize].lo = e;
+            head = v;
+        }
+        if pv & LEDGE_BOOST == 0 {
+            chain.push((v, raw[u as usize].live));
+            raw[u as usize].live = chain.len() as u32 - 1;
+        }
+    }
+    if head != NIL {
+        raw[head as usize].hi = ledges.len() as u32;
+    }
 
-    // ---- X: live-forward closure of the seeds -------------------------
-    live_off.clear();
-    live_off.resize(n0 + 1, 0);
-    for &(u, pv) in ledges.iter() {
-        if pv & LEDGE_BOOST == 0 {
-            live_off[u as usize + 1] += 1;
-        }
-    }
-    prefix_sum(live_off);
-    live_adj.clear();
-    live_adj.resize(live_off[n0] as usize, 0);
-    cursor.clear();
-    cursor.extend_from_slice(&live_off[..n0]);
-    for &(u, pv) in ledges.iter() {
-        if pv & LEDGE_BOOST == 0 {
-            live_adj[cursor[u as usize] as usize] = pv;
-            cursor[u as usize] += 1;
-        }
-    }
-    in_x.clear();
-    in_x.resize(n0, false);
+    // ---- X: live-forward closure of the seeds --------------------------
     stack.clear();
-    for &sl in seed_locals.iter() {
-        if !in_x[sl as usize] {
-            in_x[sl as usize] = true;
+    for &sl in seed_locals {
+        if raw[sl as usize].d_r != IN_X {
+            raw[sl as usize].d_r = IN_X;
             stack.push(sl);
         }
     }
     while let Some(u) = stack.pop() {
-        let (lo, hi) = (
-            live_off[u as usize] as usize,
-            live_off[u as usize + 1] as usize,
-        );
-        for &v in &live_adj[lo..hi] {
-            if !in_x[v as usize] {
-                in_x[v as usize] = true;
+        let mut c = raw[u as usize].live;
+        while c != NIL {
+            let (v, next) = chain[c as usize];
+            if raw[v as usize].d_r != IN_X {
+                raw[v as usize].d_r = IN_X;
                 stack.push(v);
             }
+            c = next;
         }
     }
-    if in_x[root_l as usize] {
+    if raw[0].d_r == IN_X {
         // Live seed→root path: activated (phase I normally catches this).
         return false;
     }
 
-    // ---- Stage-2 graph: super-seed 0 + non-X nodes --------------------
-    stage_of.clear();
-    stage_of.resize(n0, INF);
-    stage_nodes.clear();
-    stage_nodes.push(SUPER_SEED); // stage-local -> raw-local (marker for 0)
-    for v in 0..n0 as u32 {
-        if !in_x[v as usize] {
-            stage_of[v as usize] = stage_nodes.len() as u32;
-            stage_nodes.push(v);
+    // ---- F: backward 0-1 BFS from the root that never enters X ---------
+    fid.resize(fid.len().max(nodes.len()), 0);
+    f_local.clear();
+    f_local.extend([SUPER_SEED, 0]);
+    fid[0] = ROOT_F;
+    sup.clear();
+    inner.clear();
+    raw[0].d_r = 0;
+    deque.clear();
+    deque.push_back((0, 0));
+    while let Some((v, dv)) = deque.pop_front() {
+        if dv > raw[v as usize].d_r {
+            continue; // stale entry: v was settled at a smaller distance
+        }
+        let fv = fid[v as usize];
+        let mut from_x = false;
+        let (lo, hi) = (raw[v as usize].lo, raw[v as usize].hi);
+        for e in lo..hi {
+            let (u, pv) = ledges[e as usize];
+            let du = raw[u as usize].d_r;
+            if du == IN_X {
+                debug_assert!(pv & LEDGE_BOOST != 0, "a live edge would extend X");
+                if !from_x {
+                    from_x = true;
+                    sup.push((e, fv));
+                }
+                continue;
+            }
+            if du == INF {
+                fid[u as usize] = f_local.len() as u32;
+                f_local.push(u);
+            }
+            inner.push((fid[u as usize], e, fv));
+            let nd = dv + (pv & LEDGE_BOOST != 0) as u32;
+            if nd < du {
+                raw[u as usize].d_r = nd;
+                if nd == dv {
+                    deque.push_front((u, nd));
+                } else {
+                    deque.push_back((u, nd));
+                }
+            }
         }
     }
-    let sn = stage_nodes.len();
-    let root_s = stage_of[root_l as usize];
+    let nf = f_local.len();
 
-    // Out-CSR: count (deduplicating super-seed heads in first-seen order),
-    // prefix-sum, scatter in edge-scan order — per-node edge order matches
-    // the per-node `Vec` pushes of the historical implementation.
+    // ---- Forward out-lists in F-space, edge-scan ordered ---------------
+    sup.sort_unstable();
+    inner.sort_unstable();
     out_off.clear();
-    out_off.resize(sn + 1, 0);
-    super_heads.clear();
-    fwd_seen.clear(); // reused here as the super-head dedup flags
-    fwd_seen.resize(sn, false);
-    for &(u, pv) in ledges.iter() {
-        let v = pv & LEDGE_MASK;
-        if in_x[v as usize] {
-            continue; // edges into the merged region are useless
-        }
-        let sv = stage_of[v as usize];
-        if in_x[u as usize] {
-            debug_assert!(
-                pv & LEDGE_BOOST != 0,
-                "a live edge out of X would have extended X"
-            );
-            if !fwd_seen[sv as usize] {
-                fwd_seen[sv as usize] = true;
-                super_heads.push(sv);
-                out_off[1] += 1;
-            }
-        } else {
-            out_off[stage_of[u as usize] as usize + 1] += 1;
-        }
-    }
-    prefix_sum(out_off);
+    out_off.resize(nf + 1, 0);
     out_adj.clear();
-    out_adj.resize(out_off[sn] as usize, (0, false));
-    cursor.clear();
-    cursor.extend_from_slice(&out_off[..sn]);
-    for &sv in super_heads.iter() {
-        out_adj[cursor[0] as usize] = (sv, true);
-        cursor[0] += 1;
+    out_adj.extend(sup.iter().map(|&(_, h)| (h, true)));
+    out_off[SUPER_F as usize + 1] = sup.len() as u32;
+    for &(t, e, h) in inner.iter() {
+        out_adj.push((h, ledges[e as usize].1 & LEDGE_BOOST != 0));
+        out_off[t as usize + 1] += 1;
     }
-    for &(u, pv) in ledges.iter() {
-        let v = pv & LEDGE_MASK;
-        if in_x[v as usize] || in_x[u as usize] {
-            continue;
-        }
-        let su = stage_of[u as usize] as usize;
-        out_adj[cursor[su] as usize] = (stage_of[v as usize], pv & LEDGE_BOOST != 0);
-        cursor[su] += 1;
+    for f in 1..=nf {
+        out_off[f] += out_off[f - 1];
     }
 
-    // ---- d_S (forward from super) and d'_r (backward from root) -------
-    zero_one_bfs_csr(out_off, out_adj, sn, 0, d_s, deque);
-    if d_s[root_s as usize] == INF || d_s[root_s as usize] > k {
-        return false; // hopeless within budget
+    // ---- d_S, budget filter, live shortcuts ----------------------------
+    zero_one_bfs_csr(out_off, out_adj, nf, SUPER_F, d_s, deque);
+    if d_s[ROOT_F as usize] > k {
+        return false; // hopeless within budget (unreachable is INF > k)
     }
-    in_off.clear();
-    in_off.resize(sn + 1, 0);
-    for &(v, _) in out_adj.iter() {
-        in_off[v as usize + 1] += 1;
-    }
-    prefix_sum(in_off);
-    in_adj.clear();
-    in_adj.resize(out_adj.len(), (0, false));
-    cursor.clear();
-    cursor.extend_from_slice(&in_off[..sn]);
-    for u in 0..sn {
-        let (lo, hi) = (out_off[u] as usize, out_off[u + 1] as usize);
-        for &(v, _b) in &out_adj[lo..hi] {
-            in_adj[cursor[v as usize] as usize] = (u as u32, _b);
-            cursor[v as usize] += 1;
+    // Defined on F's own nodes; the super-seed is kept because the root is.
+    let d_r = |f: u32| raw[f_local[f as usize] as usize].d_r;
+    let keep = |f: u32| d_s[f as usize] != INF && d_s[f as usize] + d_r(f) <= k;
+    const TO_ROOT: [(u32, bool); 1] = [(ROOT_F, false)];
+    let out2 = |f: u32| -> &[(u32, bool)] {
+        if f != SUPER_F && f != ROOT_F && d_r(f) == 0 {
+            &TO_ROOT // kept shortcut node: once active, the root follows
+        } else {
+            &out_adj[out_off[f as usize] as usize..out_off[f as usize + 1] as usize]
         }
-    }
-    zero_one_bfs_csr(in_off, in_adj, sn, root_s, d_r, deque);
-
-    // ---- Budget filter + live shortcut --------------------------------
-    let keep = |v: u32| -> bool {
-        let (a, b) = (d_s[v as usize], d_r[v as usize]);
-        a != INF && b != INF && a + b <= k
     };
-    // Shortcutting can't edit a CSR list in place, so build a second
-    // out-CSR with shortcut nodes' lists replaced by the single live edge
-    // to the root.
-    out2_off.clear();
-    out2_off.resize(sn + 1, 0);
-    for v in 0..sn as u32 {
-        let shortcut = v != 0 && v != root_s && keep(v) && d_r[v as usize] == 0;
-        out2_off[v as usize + 1] = if shortcut {
-            1
-        } else {
-            out_off[v as usize + 1] - out_off[v as usize]
-        };
-    }
-    prefix_sum(out2_off);
-    out2_adj.clear();
-    out2_adj.resize(out2_off[sn] as usize, (0, false));
-    for v in 0..sn {
-        let dst = out2_off[v] as usize;
-        let shortcut = v != 0 && v as u32 != root_s && keep(v as u32) && d_r[v] == 0;
-        if shortcut {
-            out2_adj[dst] = (root_s, false);
-        } else {
-            let (lo, hi) = (out_off[v] as usize, out_off[v + 1] as usize);
-            out2_adj[dst..dst + (hi - lo)].copy_from_slice(&out_adj[lo..hi]);
-        }
-    }
 
-    // ---- Final pass: nodes on some super→root path --------------------
-    fwd_seen.clear();
-    fwd_seen.resize(sn, false);
+    // ---- Nodes on some super→root path: the forward DFS ----------------
+    seen.clear();
+    seen.resize(nf, false);
+    seen[SUPER_F as usize] = true;
     stack.clear();
-    if keep(0) {
-        fwd_seen[0] = true;
-        stack.push(0);
-        while let Some(u) = stack.pop() {
-            let (lo, hi) = (
-                out2_off[u as usize] as usize,
-                out2_off[u as usize + 1] as usize,
-            );
-            for &(v, _) in &out2_adj[lo..hi] {
-                if keep(v) && !fwd_seen[v as usize] {
-                    fwd_seen[v as usize] = true;
-                    stack.push(v);
-                }
+    stack.push(SUPER_F);
+    while let Some(f) = stack.pop() {
+        for &(h, _) in out2(f) {
+            if !seen[h as usize] && keep(h) {
+                seen[h as usize] = true;
+                stack.push(h);
             }
         }
     }
-    in2_off.clear();
-    in2_off.resize(sn + 1, 0);
-    for &(v, _) in out2_adj.iter() {
-        in2_off[v as usize + 1] += 1;
-    }
-    prefix_sum(in2_off);
-    in2_adj.clear();
-    in2_adj.resize(out2_adj.len(), 0);
-    cursor.clear();
-    cursor.extend_from_slice(&in2_off[..sn]);
-    for u in 0..sn {
-        let (lo, hi) = (out2_off[u] as usize, out2_off[u + 1] as usize);
-        for &(v, _) in &out2_adj[lo..hi] {
-            in2_adj[cursor[v as usize] as usize] = u as u32;
-            cursor[v as usize] += 1;
-        }
-    }
-    bwd_seen.clear();
-    bwd_seen.resize(sn, false);
-    stack.clear();
-    if keep(root_s) {
-        bwd_seen[root_s as usize] = true;
-        stack.push(root_s);
-        while let Some(u) = stack.pop() {
-            let (lo, hi) = (
-                in2_off[u as usize] as usize,
-                in2_off[u as usize + 1] as usize,
-            );
-            for &v in &in2_adj[lo..hi] {
-                if keep(v) && !bwd_seen[v as usize] {
-                    bwd_seen[v as usize] = true;
-                    stack.push(v);
-                }
-            }
-        }
-    }
-    let final_keep = |v: u32| -> bool { keep(v) && fwd_seen[v as usize] && bwd_seen[v as usize] };
-    if !final_keep(0) || !final_keep(root_s) {
-        return false;
-    }
+    debug_assert!(seen[ROOT_F as usize], "a cheapest super→root path survives");
 
-    // ---- Relabel + assemble -------------------------------------------
+    // ---- Relabel + assemble: super-seed first, then raw-local order ----
+    order.clear();
+    order.extend(
+        (ROOT_F..nf as u32)
+            .filter(|&f| seen[f as usize])
+            .map(|f| (f_local[f as usize], f)),
+    );
+    order.sort_unstable();
+    order.insert(0, (SUPER_SEED, SUPER_F));
     final_of.clear();
-    final_of.resize(sn, INF);
-    stage_of_final.clear();
-    for v in 0..sn as u32 {
-        if final_keep(v) {
-            final_of[v as usize] = parts.globals.len() as u32;
-            stage_of_final.push(v);
-            let raw_local = stage_nodes[v as usize];
-            parts.globals.push(if raw_local == SUPER_SEED {
-                SUPER_SEED
-            } else {
-                nodes[raw_local as usize]
-            });
-        }
+    final_of.resize(nf, INF);
+    for (i, &(l, f)) in order.iter().enumerate() {
+        final_of[f as usize] = i as u32;
+        parts.globals.push(if f == SUPER_F {
+            SUPER_SEED
+        } else {
+            nodes[l as usize]
+        });
     }
     parts.adj_off.push(0);
-    for &v in stage_of_final.iter() {
-        let (lo, hi) = (
-            out2_off[v as usize] as usize,
-            out2_off[v as usize + 1] as usize,
-        );
-        for &(w, b) in &out2_adj[lo..hi] {
-            if final_keep(w) {
-                parts.adj.push((final_of[w as usize], b));
+    for &(_, f) in order.iter() {
+        for &(h, b) in out2(f) {
+            if seen[h as usize] {
+                parts.adj.push((final_of[h as usize], b));
             }
         }
         parts.adj_off.push(parts.adj.len() as u32);
@@ -630,13 +549,13 @@ fn compress_core(
     // the root.
     let zero = parts.adj_off[1] as usize;
     for &(v, _) in &parts.adj[..zero] {
-        let stage_v = stage_of_final[v as usize];
-        if d_r[stage_v as usize] == 0 {
+        let (_, f) = order[v as usize];
+        if d_r(f) == 0 {
             parts.critical.push(NodeId(parts.globals[v as usize]));
         }
     }
 
-    parts.root = final_of[root_s as usize];
+    parts.root = final_of[ROOT_F as usize];
     parts.uncompressed = ledges.len() as u32;
     true
 }
@@ -647,57 +566,67 @@ mod tests {
     use crate::gen::{raw_f, PrrGenerator};
     use crate::graph::PrrEvalScratch;
     use kboost_diffusion::sim::BoostMask;
+    use kboost_graph::generators::{erdos_renyi, preferential_attachment};
+    use kboost_graph::probability::ProbabilityModel;
     use kboost_graph::{DiGraph, GraphBuilder};
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
-    /// Compare compressed f_R(B) with the raw reference for all B with
-    /// |B| ≤ k over a sampled PRR-graph.
+    /// The first `B` with `|B| ≤ k` on which `raw` compressed at `k`
+    /// answers `f_R(B)` differently from `raw` itself, if any. Graphs are
+    /// tiny, so every subset of the `n` nodes is tried.
+    pub(super) fn f_mismatch(raw: &RawPrr, n: usize, k: usize) -> Option<Vec<NodeId>> {
+        let compressed = compress(raw, k);
+        let mut scratch = PrrEvalScratch::default();
+        for bits in (0u32..1 << n).filter(|b| b.count_ones() as usize <= k) {
+            let b: Vec<_> = (0..n as u32)
+                .filter(|i| bits >> i & 1 == 1)
+                .map(NodeId)
+                .collect();
+            let mask = BoostMask::from_nodes(n, &b);
+            if raw_f(raw, &mask)
+                != compressed
+                    .as_ref()
+                    .is_some_and(|c| c.f(&mask, &mut scratch))
+            {
+                return Some(b);
+            }
+        }
+        None
+    }
+
+    /// The critical set of `raw` compressed at `k` and the definitional
+    /// `{v : f_R({v}) = 1}`, both sorted; `None` if not boostable.
+    pub(super) fn critical_vs_definition(
+        raw: &RawPrr,
+        n: usize,
+        k: usize,
+    ) -> Option<(Vec<NodeId>, Vec<NodeId>)> {
+        let mut got = compress(raw, k)?.critical().to_vec();
+        let mut expect: Vec<NodeId> = (0..n as u32)
+            .map(NodeId)
+            .filter(|&v| raw_f(raw, &BoostMask::from_nodes(n, &[v])))
+            .collect();
+        got.sort_unstable();
+        expect.sort_unstable();
+        Some((got, expect))
+    }
+
+    /// Compare compressed f_R(B) and the critical set with the raw
+    /// reference over a sampled PRR-graph.
     fn check_equivalence(g: &DiGraph, seeds: &[NodeId], k: usize, root: NodeId, seed: u64) {
         let generator = PrrGenerator::new(g, seeds, k);
         let mut rng = SmallRng::seed_from_u64(seed);
         let Some(raw) = generator.phase1_raw(root, &mut rng) else {
             return;
         };
-        let compressed = compress(&raw, k);
-        let n = g.num_nodes();
-        let mut scratch = PrrEvalScratch::default();
-
-        // Enumerate all subsets of nodes of size ≤ k (graphs are tiny).
-        let subsets = 1u32 << n;
-        for bits in 0..subsets {
-            if (bits.count_ones() as usize) > k {
-                continue;
-            }
-            let members: Vec<NodeId> = (0..n as u32)
-                .filter(|i| bits >> i & 1 == 1)
-                .map(NodeId)
-                .collect();
-            let mask = BoostMask::from_nodes(n, &members);
-            let expected = raw_f(&raw, &mask);
-            let got = compressed
-                .as_ref()
-                .map(|c| c.f(&mask, &mut scratch))
-                .unwrap_or(false);
-            assert_eq!(expected, got, "B = {members:?} (bits {bits:b})");
-        }
-
-        // Critical set must equal the definitional {v : f({v}) = 1}.
-        if let Some(c) = &compressed {
-            let mut expect: Vec<NodeId> = (0..n as u32)
-                .map(NodeId)
-                .filter(|&v| raw_f(&raw, &BoostMask::from_nodes(n, &[v])))
-                .collect();
-            let mut got: Vec<NodeId> = c.critical().to_vec();
-            expect.sort_unstable();
-            got.sort_unstable();
-            assert_eq!(expect, got, "critical set mismatch");
+        assert_eq!(f_mismatch(&raw, g.num_nodes(), k), None);
+        if let Some((got, expect)) = critical_vs_definition(&raw, g.num_nodes(), k) {
+            assert_eq!(got, expect, "critical set mismatch");
         }
     }
 
     fn random_graph(n: usize, m: usize, seed: u64) -> DiGraph {
-        use kboost_graph::generators::erdos_renyi;
-        use kboost_graph::probability::ProbabilityModel;
         let mut rng = SmallRng::seed_from_u64(seed);
         erdos_renyi(n, m, ProbabilityModel::Constant(0.4), 2.5, &mut rng)
     }
@@ -755,36 +684,113 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "grouped by head")]
+    fn rejects_edges_not_grouped_by_head() {
+        // Head 3's in-edges are split by head 1's block, which no phase-I
+        // loop emits.
+        let raw = RawPrr {
+            root: 3,
+            edges: vec![(1, 3, true), (0, 1, true), (2, 3, false)],
+            seeds: vec![0],
+        };
+        compress(&raw, 2);
+    }
+
+    /// An FNV-1a hash (independent of the standard library's hasher) over
+    /// every compression result folded in, and how many were boostable.
+    struct Digest(u64, usize);
+
+    impl Digest {
+        fn word(&mut self, w: u32) {
+            for b in w.to_le_bytes() {
+                self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+
+        /// Draws `samples` random roots through phase I pruned at `k_gen`
+        /// and folds in every field of each raw graph's compression at
+        /// each of `budgets`, non-boostable results included.
+        fn fold(
+            &mut self,
+            g: &DiGraph,
+            seeds: &[NodeId],
+            (k_gen, budgets): (usize, &[usize]),
+            samples: usize,
+            rng: &mut SmallRng,
+        ) {
+            let generator = PrrGenerator::new_scalar_oracle(g, seeds, k_gen);
+            for _ in 0..samples {
+                let root = NodeId(rng.random_range(0..g.num_nodes() as u32));
+                let Some(raw) = generator.phase1_raw(root, rng) else {
+                    continue;
+                };
+                for &k in budgets {
+                    let Some(p) = compress_parts(&raw, k) else {
+                        self.word(u32::MAX);
+                        continue;
+                    };
+                    self.1 += 1;
+                    let lens = [p.globals.len(), p.adj.len(), p.critical.len()].map(|l| l as u32);
+                    [p.root, p.uncompressed]
+                        .into_iter()
+                        .chain(lens)
+                        .chain(p.globals.iter().chain(&p.adj_off).copied())
+                        .chain(p.adj.iter().flat_map(|&(v, b)| [v, b as u32]))
+                        .chain(p.critical.iter().map(|v| v.0))
+                        .for_each(|w| self.word(w));
+                }
+            }
+        }
+    }
+
+    /// Pins phase-II output bit for bit. The constant is a digest of every
+    /// `CompressedParts` field over a fixed sample set, computed with the
+    /// full-graph core this module ran before its output-sensitive one:
+    ///
+    /// * a 3,000-node LogNormal preferential-attachment graph with 20
+    ///   seeds (the benchmark family at small scale), at k ∈ {1, 2, 5, 50};
+    /// * small ER graphs whose phase I prunes at k = 5 but which are
+    ///   compressed at every k ≤ 5, so the budget filter drops nodes that
+    ///   phase I kept.
+    #[test]
+    fn compressed_parts_digest_is_pinned() {
+        let mut digest = Digest(0xcbf2_9ce4_8422_2325, 0);
+        let mut rng = SmallRng::seed_from_u64(2017);
+        let model = ProbabilityModel::LogNormal {
+            mu: -1.93,
+            sigma: 1.0,
+            cap: 1.0,
+        };
+        let g = preferential_attachment(3_000, 4, 0.15, model, 2.0, &mut rng);
+        let seeds: Vec<NodeId> = (0..20).map(|i| NodeId(i * 149 + 3)).collect();
+        for k in [1usize, 2, 5, 50] {
+            digest.fold(&g, &seeds, (k, &[k]), 1_500, &mut rng);
+        }
+        for graph_seed in 0..40u64 {
+            let mut rng = SmallRng::seed_from_u64(graph_seed);
+            let g = erdos_renyi(30, 90, ProbabilityModel::Constant(0.3), 2.0, &mut rng);
+            let seeds: Vec<NodeId> = (0..1 + graph_seed as u32 % 3).map(NodeId).collect();
+            digest.fold(&g, &seeds, (5, &[1, 2, 3, 5]), 40, &mut rng);
+        }
+        assert_eq!((digest.0, digest.1), (0xcdd5_f797_abb9_fcb5, 2_377));
+    }
+
+    #[test]
     fn scratch_reuse_is_stateless_across_samples() {
         // Running many different compressions through the same
         // thread-local scratch must give the same output as a fresh
-        // process would: interleave two raw graphs and check both keep
+        // process would: interleave the raw graphs and check each keeps
         // producing identical CompressedParts every time.
         let g = random_graph(10, 30, 77);
         let generator = PrrGenerator::new(&g, &[NodeId(0)], 2);
         let mut rng = SmallRng::seed_from_u64(123);
-        let mut raws = Vec::new();
-        for root in 0..10u32 {
-            if let Some(raw) = generator.phase1_raw(NodeId(root % 10), &mut rng) {
-                raws.push(raw);
-            }
-        }
+        let raws: Vec<RawPrr> = (0..10u32)
+            .filter_map(|root| generator.phase1_raw(NodeId(root), &mut rng))
+            .collect();
         let baseline: Vec<_> = raws.iter().map(|r| compress_parts(r, 2)).collect();
         for _ in 0..3 {
             for (raw, base) in raws.iter().zip(&baseline) {
-                let again = compress_parts(raw, 2);
-                match (base, &again) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => {
-                        assert_eq!(a.root, b.root);
-                        assert_eq!(a.globals, b.globals);
-                        assert_eq!(a.adj_off, b.adj_off);
-                        assert_eq!(a.adj, b.adj);
-                        assert_eq!(a.critical, b.critical);
-                        assert_eq!(a.uncompressed, b.uncompressed);
-                    }
-                    _ => panic!("boostability changed across scratch reuse"),
-                }
+                assert_eq!(*base, compress_parts(raw, 2));
             }
         }
     }
@@ -797,10 +803,8 @@ mod proptests {
     //! (|B| ≤ k) exactly like the uncompressed phase-I graph, and the
     //! critical set matches its definition.
 
-    use super::*;
-    use crate::gen::{raw_f, PrrGenerator};
-    use crate::graph::PrrEvalScratch;
-    use kboost_diffusion::sim::BoostMask;
+    use super::tests::{critical_vs_definition, f_mismatch};
+    use crate::gen::PrrGenerator;
     use kboost_graph::generators::erdos_renyi;
     use kboost_graph::probability::ProbabilityModel;
     use kboost_graph::NodeId;
@@ -809,38 +813,26 @@ mod proptests {
     use rand::SeedableRng;
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+        #![proptest_config(ProptestConfig::with_cases(96))]
 
         #[test]
         fn compression_preserves_f_for_all_small_b(
             graph_seed in 0u64..10_000,
             status_seed in 0u64..10_000,
+            n in 10usize..13,
+            num_seeds in 1u32..4,
             k in 1usize..4,
             p in 0.2f64..0.7,
-            root in 0u32..8,
+            root_pick in 0u32..1_000,
         ) {
             let mut rng = SmallRng::seed_from_u64(graph_seed);
-            let g = erdos_renyi(8, 18, ProbabilityModel::Constant(p), 2.0, &mut rng);
-            let generator = PrrGenerator::new(&g, &[NodeId(0)], k);
+            let g = erdos_renyi(n, 2 * n + 4, ProbabilityModel::Constant(p), 2.0, &mut rng);
+            let seeds: Vec<NodeId> = (0..num_seeds).map(NodeId).collect();
+            let generator = PrrGenerator::new(&g, &seeds, k);
             let mut srng = SmallRng::seed_from_u64(status_seed);
-            let Some(raw) = generator.phase1_raw(NodeId(root), &mut srng) else {
-                return Ok(());
-            };
-            let compressed = compress(&raw, k);
-            let mut scratch = PrrEvalScratch::default();
-            for bits in 0u32..256 {
-                if bits.count_ones() as usize > k {
-                    continue;
-                }
-                let members: Vec<NodeId> =
-                    (0..8u32).filter(|i| bits >> i & 1 == 1).map(NodeId).collect();
-                let mask = BoostMask::from_nodes(8, &members);
-                let expected = raw_f(&raw, &mask);
-                let got = compressed
-                    .as_ref()
-                    .map(|c| c.f(&mask, &mut scratch))
-                    .unwrap_or(false);
-                prop_assert_eq!(expected, got, "B = {:?}", members);
+            let root = NodeId(root_pick % n as u32);
+            if let Some(raw) = generator.phase1_raw(root, &mut srng) {
+                prop_assert_eq!(f_mismatch(&raw, n, k), None);
             }
         }
 
@@ -848,25 +840,21 @@ mod proptests {
         fn critical_set_matches_definition(
             graph_seed in 0u64..10_000,
             status_seed in 0u64..10_000,
-            root in 0u32..8,
+            n in 10usize..13,
+            num_seeds in 1u32..4,
+            root_pick in 0u32..1_000,
         ) {
             let k = 2usize;
             let mut rng = SmallRng::seed_from_u64(graph_seed);
-            let g = erdos_renyi(8, 16, ProbabilityModel::Constant(0.4), 2.2, &mut rng);
-            let generator = PrrGenerator::new(&g, &[NodeId(0), NodeId(1)], k);
+            let g = erdos_renyi(n, 2 * n, ProbabilityModel::Constant(0.4), 2.2, &mut rng);
+            let seeds: Vec<NodeId> = (0..num_seeds).map(NodeId).collect();
+            let generator = PrrGenerator::new(&g, &seeds, k);
             let mut srng = SmallRng::seed_from_u64(status_seed);
-            let Some(raw) = generator.phase1_raw(NodeId(root), &mut srng) else {
-                return Ok(());
-            };
-            let Some(c) = compress(&raw, k) else { return Ok(()) };
-            let mut expect: Vec<NodeId> = (0..8u32)
-                .map(NodeId)
-                .filter(|&v| raw_f(&raw, &BoostMask::from_nodes(8, &[v])))
-                .collect();
-            let mut got = c.critical().to_vec();
-            expect.sort_unstable();
-            got.sort_unstable();
-            prop_assert_eq!(expect, got);
+            let root = NodeId(root_pick % n as u32);
+            let raw = generator.phase1_raw(root, &mut srng);
+            if let Some((got, expect)) = raw.and_then(|raw| critical_vs_definition(&raw, n, k)) {
+                prop_assert_eq!(got, expect);
+            }
         }
     }
 }

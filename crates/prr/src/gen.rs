@@ -158,7 +158,10 @@ pub enum PrrOutcome {
 pub struct RawPrr {
     /// The root node (global id).
     pub root: u32,
-    /// Sampled non-blocked edges `(from, to, is_boost)` in global ids.
+    /// Sampled non-blocked edges `(from, to, is_boost)` in global ids,
+    /// grouped by head: all edges into one node are contiguous. Phase I
+    /// expands each node at most once and emits its in-edges while doing
+    /// so, and [`compress`] relies on (and asserts) the grouping.
     pub edges: Vec<(u32, u32, bool)>,
     /// Seed nodes discovered during the backward BFS.
     pub seeds: Vec<u32>,

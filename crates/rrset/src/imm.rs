@@ -11,6 +11,8 @@
 //! clears `(1+ε')·x`; this certifies the lower bound `LB`.
 //! Phase 2: grow the pool to `θ = λ*/LB` sketches and run greedy once more.
 
+use kboost_obs::Obs;
+
 use crate::greedy::{greedy_max_cover, CoverResult};
 use crate::sketch::{ExtendStatus, SketchGenerator, SketchPool};
 use crate::terminator::{Terminator, Unlimited};
@@ -84,7 +86,7 @@ pub fn ln_binom(n: usize, k: usize) -> f64 {
 /// Returns the greedy solution over the final pool; `n·covered/total` is a
 /// `(1−1/e−ε)`-approximation of `max_{|B|≤k} F(B)` w.p. `≥ 1−n^−ℓ`.
 pub fn run_imm<G: SketchGenerator>(generator: &G, params: &ImmParams) -> ImmRun<G::Shard> {
-    run_imm_within(generator, params, &Unlimited).0
+    run_imm_within(generator, params, &Unlimited, &Obs::noop()).0
 }
 
 /// [`run_imm`] under a cooperative stop condition: the terminator is
@@ -94,11 +96,13 @@ pub fn run_imm<G: SketchGenerator>(generator: &G, params: &ImmParams) -> ImmRun<
 /// chunk prefix, so [`achieved_epsilon`] applied to its sample count
 /// yields an honest a-posteriori guarantee. With
 /// [`Unlimited`](crate::terminator::Unlimited) this *is* `run_imm`,
-/// bit for bit.
+/// bit for bit. The pool records its chunks into `obs` (see
+/// [`SketchPool::set_obs`]); recording never changes the run.
 pub fn run_imm_within<G: SketchGenerator, T: Terminator + ?Sized>(
     generator: &G,
     params: &ImmParams,
     term: &T,
+    obs: &Obs,
 ) -> (ImmRun<G::Shard>, bool) {
     let n = generator.universe() as f64;
     let k = params.k;
@@ -126,6 +130,7 @@ pub fn run_imm_within<G: SketchGenerator, T: Terminator + ?Sized>(
     let lambda_star = 2.0 * n * ((1.0 - 1.0 / e) * alpha + beta).powi(2) / (eps * eps);
 
     let mut pool = SketchPool::new(params.seed, params.threads);
+    pool.set_obs(obs.clone());
     let mut lb = 1.0f64;
     let mut interrupted = false;
 
@@ -317,12 +322,12 @@ mod tests {
             max_sketches: Some(200_000),
             min_sketches: 0,
         };
-        let (run, interrupted) = run_imm_within(&Synthetic, &params, &StopAtChunk(2));
+        let (run, interrupted) = run_imm_within(&Synthetic, &params, &StopAtChunk(2), &Obs::noop());
         assert!(interrupted);
         assert!(run.pool.total_samples() > 0, "two chunks were bought");
         assert!(!run.result.selected.is_empty());
         // The unlimited variant is exactly run_imm.
-        let (full, interrupted) = run_imm_within(&Synthetic, &params, &Unlimited);
+        let (full, interrupted) = run_imm_within(&Synthetic, &params, &Unlimited, &Obs::noop());
         assert!(!interrupted);
         let reference = run_imm(&Synthetic, &params);
         assert_eq!(full.result.selected, reference.result.selected);

@@ -16,6 +16,7 @@
 //! the ablation benches.)
 
 use kboost_graph::NodeId;
+use kboost_obs::Obs;
 
 use crate::greedy::{greedy_max_cover, CoverResult};
 use crate::sketch::{CoverOnly, ExtendStatus, SketchGenerator, SketchPool};
@@ -70,7 +71,7 @@ pub struct SsaRun<S> {
 
 /// Runs the adaptive sampler against any sketch generator.
 pub fn run_ssa<G: SketchGenerator>(generator: &G, params: &SsaParams) -> SsaRun<G::Shard> {
-    run_ssa_within(generator, params, &Unlimited).0
+    run_ssa_within(generator, params, &Unlimited, &Obs::noop()).0
 }
 
 /// [`run_ssa`] under a cooperative stop condition, polled at every chunk
@@ -81,16 +82,21 @@ pub fn run_ssa<G: SketchGenerator>(generator: &G, params: &SsaParams) -> SsaRun<
 /// case it reads 0 — partial runs should be judged by the selection
 /// pool's achieved ε instead). With
 /// [`Unlimited`](crate::terminator::Unlimited) this *is* `run_ssa`.
+/// Both pools record their chunks into `obs` (see
+/// [`SketchPool::set_obs`]); recording never changes the run.
 pub fn run_ssa_within<G: SketchGenerator, T: Terminator + ?Sized>(
     generator: &G,
     params: &SsaParams,
     term: &T,
+    obs: &Obs,
 ) -> (SsaRun<G::Shard>, bool) {
     let n = generator.universe() as f64;
     let cover_only = CoverOnly(generator);
     let mut select_pool: SketchPool<G::Shard> = SketchPool::new(params.seed, params.threads);
     let mut validate_pool: SketchPool<()> =
         SketchPool::new(params.seed ^ 0xDEAD_BEEF, params.threads);
+    select_pool.set_obs(obs.clone());
+    validate_pool.set_obs(obs.clone());
 
     let mut target = params.initial.max(16);
     // NaN sentinel: `close` is false against it, forcing ≥ 2 epochs.

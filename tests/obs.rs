@@ -185,3 +185,51 @@ proptest! {
         assert_arenas_equal(&mut one, &mut seven, 7);
     }
 }
+
+/// IMM sampling reports to the recorder too: a recorded Sandwich solve
+/// under IMM counts exactly the samples its pool holds, and stays
+/// byte-identical to the same solve with the no-op recorder.
+#[test]
+fn recorded_imm_solve_counts_its_samples_and_is_byte_identical() {
+    let g = graph(7);
+    let imm_engine = |recorder: Option<Arc<MetricsRecorder>>| {
+        let mut builder = EngineBuilder::new(g.clone())
+            .seeds([NodeId(0), NodeId(1), NodeId(2)])
+            .k(4)
+            .threads(3)
+            .seed(0xB0057)
+            .max_sketches(20_000)
+            .sampling(Sampling::Imm);
+        if let Some(recorder) = recorder {
+            builder = builder.recorder(recorder);
+        }
+        builder.build().expect("valid engine configuration")
+    };
+    let recorder = Arc::new(MetricsRecorder::new());
+    let mut recorded = imm_engine(Some(recorder.clone()));
+    let mut noop = imm_engine(None);
+    let (a, b) = (
+        recorded.solve(&Algorithm::Sandwich).expect("solve"),
+        noop.solve(&Algorithm::Sandwich).expect("solve"),
+    );
+
+    let metrics = recorder.snapshot();
+    assert!(a.stats.total_samples > 0);
+    assert_eq!(
+        metrics.counter("sampler.samples"),
+        Some(a.stats.total_samples)
+    );
+    assert!(noop.metrics().counters.is_empty());
+
+    assert_eq!(a.boost_set, b.boost_set);
+    assert_eq!(
+        a.delta_hat.unwrap().to_bits(),
+        b.delta_hat.unwrap().to_bits()
+    );
+    assert_eq!(a.mu_hat.unwrap().to_bits(), b.mu_hat.unwrap().to_bits());
+    assert_eq!(a.stats.total_samples, b.stats.total_samples);
+    assert!(
+        recorded.pool().expect("pool built").arena() == noop.pool().expect("pool built").arena(),
+        "arena bytes changed under recording"
+    );
+}
