@@ -44,7 +44,7 @@
 //! After the approximate phase (whose recorded numbers are a pure
 //! function of the seeds and therefore stay bit-identical across
 //! footprint-free code changes), the **same mutation history** is
-//! replayed in `Staleness::Exact` mode: per epoch the exact engine's
+//! replayed in `Staleness::ExactCompressed` mode: per epoch the exact engine's
 //! probe `Δ̂` (`delta_hat_incremental`) is compared against a
 //! from-scratch exact replay of the history prefix
 //! (`delta_hat_rebuild`, asserted > 0 at the first refresh) — the recorded
@@ -54,14 +54,15 @@
 //! overhead is reported. The exact run is also re-executed at every thread count
 //! and must be bit-identical.
 //!
-//! Two further phases cover the production staleness tiers:
+//! Two further phases cover the bounded-memory and trace tiers:
 //!
-//! * **Memory tiers** — the same history under `ExactCompressed`
-//!   (verdicts asserted identical to sorted exact, bytes asserted
-//!   never above sorted) and `ExactHybrid { bloom_above: 16 }`
-//!   (never-miss asserted; peak footprint bytes asserted under a hard
-//!   40 MiB budget at the default scale), per-epoch byte curves in
-//!   `memory_tiers`.
+//! * **Memory tiers** — per-epoch footprint byte curves in
+//!   `memory_tiers`: the exact leg's compressed bytes (asserted never
+//!   above `sorted_bytes`, the bytes a sorted `u32` column of the same
+//!   entries would hold), and the same history under
+//!   `ExactHybrid { bloom_above: 16 }` (never-miss asserted; peak
+//!   footprint bytes asserted under a hard 40 MiB budget at the default
+//!   scale).
 //! * **Trace tier** — `ExactTrace` at a reduced pool size: each epoch's
 //!   conditional replay must stay byte-equal to the from-scratch trace
 //!   replay of the history prefix (`drift` asserted exactly zero, on a
@@ -85,7 +86,7 @@ use kboost_graph::generators::preferential_attachment;
 use kboost_graph::probability::{boost_probability, ProbabilityModel};
 use kboost_graph::{DiGraph, EdgeProbs, NodeId};
 use kboost_online::{rebuild_from_history, MaintainerOptions};
-use kboost_prr::greedy_delta_selection;
+use kboost_prr::{greedy_delta_selection, FootprintColumn, PrrArena};
 use kboost_rrset::seeds::select_random_nodes;
 use kboost_rrset::sketch::epoch_stream_seed;
 use rand::rngs::SmallRng;
@@ -178,6 +179,24 @@ fn build_engine_mode(
         .staleness(staleness)
         .build()
         .expect("valid engine configuration")
+}
+
+/// Bytes a sorted `u32` column would hold for the same footprint entries
+/// (live and tombstoned): `count + 1` offsets plus every node, per
+/// non-empty column. The exact leg's columns decode, so this is counted
+/// from the entries themselves.
+fn sorted_equivalent_bytes(arena: &PrrArena) -> usize {
+    let column = |col: &FootprintColumn| {
+        if col.count() == 0 {
+            return 0;
+        }
+        let mut nodes = 0usize;
+        for i in 0..col.count() {
+            col.for_each_node(i, |_| nodes += 1);
+        }
+        (nodes + col.count() + 1) * std::mem::size_of::<u32>()
+    };
+    column(arena.footprints()) + column(arena.empty_footprints())
 }
 
 /// Grows a mutation batch on random edges of `g` until it invalidates at
@@ -445,14 +464,17 @@ fn main() {
 
     // ---- Exact-staleness phase: same history, drift must be zero -----
     let exact_opts = MaintainerOptions {
-        staleness: Staleness::Exact,
+        staleness: Staleness::ExactCompressed,
         ..oracle_opts
     };
     let t = Instant::now();
-    let mut exact_engine = build_engine_mode(&g0, &seeds, &opts, primary, Staleness::Exact);
+    let mut exact_engine =
+        build_engine_mode(&g0, &seeds, &opts, primary, Staleness::ExactCompressed);
     exact_engine.pool().expect("pool built");
     let exact_build_secs = t.elapsed().as_secs_f64();
-    let sorted_fp0 = {
+    // Footprint bytes per epoch (index 0 = the initial build): the exact
+    // leg's compressed columns and a sorted column of the same entries.
+    let (mut compressed_bytes, mut sorted_bytes) = {
         let arena = exact_engine.pool().expect("pool built").arena();
         eprintln!(
             "[exact epoch 0] built in {exact_build_secs:.2}s; footprints {} KiB over a {} KiB \
@@ -461,7 +483,10 @@ fn main() {
             arena.memory_bytes() / 1024,
             100.0 * arena.footprint_memory_bytes() as f64 / arena.memory_bytes().max(1) as f64,
         );
-        arena.footprint_memory_bytes()
+        (
+            vec![arena.footprint_memory_bytes()],
+            vec![sorted_equivalent_bytes(arena)],
+        )
     };
 
     struct ExactPoint {
@@ -525,6 +550,8 @@ fn main() {
         let arena = exact_engine.pool().expect("pool built").arena();
         let footprint_bytes = arena.footprint_memory_bytes();
         let footprint_overhead = footprint_bytes as f64 / arena.memory_bytes().max(1) as f64;
+        compressed_bytes.push(footprint_bytes);
+        sorted_bytes.push(sorted_equivalent_bytes(arena));
         eprintln!(
             "[exact epoch {}] invalidated {} ({} empty) in {refresh_secs:.2}s; \
              Δ̂ {delta_inc:.2} == rebuild {delta_rebuild:.2} (drift 0); \
@@ -549,7 +576,7 @@ fn main() {
 
     // Exact-mode thread determinism: bit-identical reports and arenas.
     for &threads in &opts.threads[1..] {
-        let mut m = build_engine_mode(&g0, &seeds, &opts, threads, Staleness::Exact);
+        let mut m = build_engine_mode(&g0, &seeds, &opts, threads, Staleness::ExactCompressed);
         for (batch, expect) in history.iter().zip(&exact_reports) {
             let report = m.apply_mutations(batch).expect("contiguous epoch");
             assert_eq!(
@@ -566,61 +593,47 @@ fn main() {
         eprintln!("[exact determinism] {threads} threads: bit-identical to {primary}-thread run");
     }
 
-    // ---- Memory tiers: compressed + hybrid footprints, same history ---
+    // ---- Memory tiers: hybrid footprints, same history -------------
     //
-    // Each tier replays the identical epoch sequence and records its
-    // footprint bytes per epoch (index 0 = the initial build). The
-    // compressed tier must answer bit-identically to sorted exact
-    // storage (same epoch reports) while never spending more footprint
-    // bytes; the hybrid tier caps the heavy tail with fingerprints and
+    // Interned compressed storage must never spend more bytes than a
+    // sorted column of the same entries; the hybrid tier replays the
+    // identical epoch sequence, caps the heavy tail with fingerprints and
     // must stay under a hard byte budget at the default scale.
-    const HYBRID_BLOOM_ABOVE: u32 = 16;
-    const HYBRID_CAP_BYTES: usize = 40 * 1024 * 1024;
-    let run_tier = |staleness: Staleness| -> (f64, Vec<usize>, Vec<kboost_online::EpochReport>) {
-        let t = Instant::now();
-        let mut m = build_engine_mode(&g0, &seeds, &opts, primary, staleness);
-        m.pool().expect("pool built");
-        let build_secs = t.elapsed().as_secs_f64();
-        let mut bytes = vec![m
-            .pool()
-            .expect("pool built")
-            .arena()
-            .footprint_memory_bytes()];
-        let mut tier_reports = Vec::new();
-        for batch in &history {
-            let report = m.apply_mutations(batch).expect("contiguous epoch");
-            bytes.push(
-                m.pool()
-                    .expect("pool built")
-                    .arena()
-                    .footprint_memory_bytes(),
-            );
-            tier_reports.push(report);
-        }
-        (build_secs, bytes, tier_reports)
-    };
-    let sorted_bytes: Vec<usize> = std::iter::once(sorted_fp0)
-        .chain(exact_points.iter().map(|p| p.footprint_bytes))
-        .collect();
-    let (compressed_build_secs, compressed_bytes, compressed_reports) =
-        run_tier(Staleness::ExactCompressed);
-    for (i, (report, expect)) in compressed_reports.iter().zip(&exact_reports).enumerate() {
-        assert_eq!(
-            report,
-            expect,
-            "compressed tier verdicts diverged from sorted exact at epoch {}",
-            i + 1
-        );
-    }
     for (i, (&c, &s)) in compressed_bytes.iter().zip(&sorted_bytes).enumerate() {
         assert!(
             c <= s,
             "compressed footprints ({c} B) exceed sorted ({s} B) at epoch {i}"
         );
     }
-    let (hybrid_build_secs, hybrid_bytes, hybrid_reports) = run_tier(Staleness::ExactHybrid {
-        bloom_above: HYBRID_BLOOM_ABOVE,
-    });
+    const HYBRID_BLOOM_ABOVE: u32 = 16;
+    const HYBRID_CAP_BYTES: usize = 40 * 1024 * 1024;
+    let t = Instant::now();
+    let mut hybrid_engine = build_engine_mode(
+        &g0,
+        &seeds,
+        &opts,
+        primary,
+        Staleness::ExactHybrid {
+            bloom_above: HYBRID_BLOOM_ABOVE,
+        },
+    );
+    hybrid_engine.pool().expect("pool built");
+    let hybrid_build_secs = t.elapsed().as_secs_f64();
+    let fp_bytes = |e: &mut Engine| {
+        e.pool()
+            .expect("pool built")
+            .arena()
+            .footprint_memory_bytes()
+    };
+    let mut hybrid_bytes = vec![fp_bytes(&mut hybrid_engine)];
+    let mut hybrid_reports = Vec::new();
+    for batch in &history {
+        let report = hybrid_engine
+            .apply_mutations(batch)
+            .expect("contiguous epoch");
+        hybrid_bytes.push(fp_bytes(&mut hybrid_engine));
+        hybrid_reports.push(report);
+    }
     // Never-miss is a per-query property against a shared pool state;
     // the pools only coincide before the first refresh (the epoch-0
     // build is footprint-mode-independent), so the count comparison is
@@ -842,7 +855,6 @@ fn main() {
     let memory_tiers_json = format!(
         "{{\n    \"hybrid_bloom_above\": {HYBRID_BLOOM_ABOVE},\n    \
          \"hybrid_cap_bytes\": {HYBRID_CAP_BYTES},\n    \
-         \"compressed_build_secs\": {compressed_build_secs:.4},\n    \
          \"hybrid_build_secs\": {hybrid_build_secs:.4},\n    \
          \"sorted_bytes\": {sorted_bytes:?},\n    \
          \"compressed_bytes\": {compressed_bytes:?},\n    \
@@ -857,7 +869,7 @@ fn main() {
          \"churn_target\": {:.2},\n  \
          \"compact_threshold\": {:.2},\n  \"threads\": {:?},\n  \"build_secs\": {:.4},\n  \
          \"boostable_epoch0\": {},\n  \"mean_speedup\": {:.2},\n  \"min_speedup\": {:.2},\n  \
-         \"epochs\": [\n{}\n  ],\n  \"exact\": {{\n    \"staleness\": \"exact\",\n    \
+         \"epochs\": [\n{}\n  ],\n  \"exact\": {{\n    \"staleness\": \"exact_compressed\",\n    \
          \"build_secs\": {:.4},\n    \"max_drift\": {:.4},\n    \
          \"max_drift_approximate\": {:.4},\n    \"epochs\": [\n{}\n    ]\n  }},\n  \
          \"memory_tiers\": {},\n  \"trace\": {{\n    \"staleness\": \"exact_trace\",\n    \

@@ -5,12 +5,13 @@
 //! count in the sweep builds an [`Engine`] with fixed-size sampling and
 //! solves PRR-Boost through it, recording the pool build time, build
 //! throughput and peak pool-build memory plus greedy `Δ̂` selection time
-//! from the solution's [`SolveStats`]. One engine configured with the
-//! **legacy pipeline** (per-graph `CompressedPrr` payloads copied into
-//! the arena) is measured as the baseline, and its arena must be
-//! byte-equal to the shard-built one — as must the arenas across all
-//! thread counts, so a CI smoke run of this binary doubles as a
-//! determinism check. The indexed selection is additionally cross-checked
+//! from the solution's [`SolveStats`]. Before any timing, capped pools
+//! from the sampling kernel must be byte-equal to the scalar oracle's
+//! (footprints off and in the hybrid tier) and, footprints off, to the
+//! legacy per-graph payload oracle copied into an arena. The arenas
+//! across all thread counts must be byte-equal too, so a CI smoke run of
+//! this binary doubles as a determinism check. The indexed selection is
+//! additionally cross-checked
 //! against the naive re-traversal greedy (the deep-path oracle). A
 //! **deadline curve** then solves the same instance through
 //! `Engine::solve_within` under sample budgets of ⅛, ¼ and ½ of the full
@@ -21,18 +22,19 @@
 //! ```text
 //! cargo run --release -p kboost-bench --bin exp_perf -- \
 //!     [--nodes N] [--samples N] [--k N] [--threads 1,2,4] [--seed N] \
-//!     [--skip-legacy] [--out PATH]
+//!     [--out PATH]
 //! ```
 //!
 //! [`Engine`]: kboost_engine::Engine
 //! [`SolveStats`]: kboost_engine::SolveStats
 
-use kboost_engine::{Algorithm, Budget, EngineBuilder, Pipeline, Sampling, Solution};
+use kboost_engine::{Algorithm, Budget, EngineBuilder, Sampling, Solution};
 use kboost_graph::generators::preferential_attachment;
 use kboost_graph::probability::ProbabilityModel;
 use kboost_graph::{DiGraph, NodeId};
 use kboost_prr::{
-    greedy_delta_selection_naive, FootprintMode, PrrArena, PrrArenaShard, PrrFullSource,
+    greedy_delta_selection_naive, CompressedPrr, FootprintMode, LegacyPrrSource, PrrArena,
+    PrrArenaShard, PrrFullSource,
 };
 use kboost_rrset::seeds::select_random_nodes;
 use kboost_rrset::sketch::SketchPool;
@@ -45,7 +47,6 @@ struct PerfOpts {
     k: usize,
     threads: Vec<usize>,
     seed: u64,
-    legacy_baseline: bool,
     out: String,
 }
 
@@ -64,7 +65,6 @@ fn parse_args() -> PerfOpts {
         k: 100,
         threads: default_thread_sweep(),
         seed: 42,
-        legacy_baseline: true,
         out: "BENCH_prr.json".to_string(),
     };
     let args: Vec<String> = std::env::args().collect();
@@ -92,7 +92,6 @@ fn parse_args() -> PerfOpts {
                 );
             }
             "--seed" => opts.seed = next(&mut i).parse().expect("--seed N"),
-            "--skip-legacy" => opts.legacy_baseline = false,
             "--out" => opts.out = next(&mut i),
             other => panic!("unknown flag {other}"),
         }
@@ -110,14 +109,13 @@ struct SweepPoint {
     select_secs: f64,
 }
 
-/// An engine over `g` at the given thread count and pipeline — the whole
-/// hand-wired `SketchPool → PrrPool → greedy` stack behind one call.
+/// An engine over `g` at the given thread count — the whole hand-wired
+/// `SketchPool → PrrPool → greedy` stack behind one call.
 fn build_engine(
     g: &DiGraph,
     seeds: &[NodeId],
     opts: &PerfOpts,
     threads: usize,
-    pipeline: Pipeline,
 ) -> kboost_engine::Engine {
     EngineBuilder::new(g.clone())
         .seeds(seeds.to_vec())
@@ -127,7 +125,6 @@ fn build_engine(
         .sampling(Sampling::Fixed {
             samples: opts.samples,
         })
-        .pipeline(pipeline)
         .build()
         .expect("valid engine configuration")
 }
@@ -163,12 +160,21 @@ fn main() {
     );
 
     // Kernel ≡ scalar oracle, in-bench: capped-target pools at 1 and 7
-    // threads, footprints off and on, must match byte-for-byte (covers and
-    // arena storage arrays, footprint columns included) before any timing
-    // is trusted.
+    // threads, footprints off and in the hybrid tier, must match
+    // byte-for-byte (covers and arena storage arrays, footprint columns
+    // included) before any timing is trusted. Footprints off, the kernel
+    // arena must also equal the legacy per-graph payloads copied into an
+    // arena (shard ≡ legacy copy).
     let equiv_target = opts.samples.min(2_048);
+    let mut legacy_pool: SketchPool<Vec<CompressedPrr>> = SketchPool::new(opts.seed, 1);
+    legacy_pool.extend_to(&LegacyPrrSource::new(&g, &seeds, opts.k), equiv_target);
+    let (_, payloads, _, _) = legacy_pool.into_parts();
+    let legacy_arena = PrrArena::from_graphs(payloads);
     for threads in [1usize, 7] {
-        for mode in [FootprintMode::Off, FootprintMode::Sorted] {
+        for mode in [
+            FootprintMode::Off,
+            FootprintMode::Hybrid { bloom_above: 16 },
+        ] {
             let kernel_src = PrrFullSource::with_footprints(&g, &seeds, opts.k, mode);
             let scalar_src = PrrFullSource::scalar_oracle(&g, &seeds, opts.k, mode);
             let mut kernel_pool: SketchPool<PrrArenaShard> = SketchPool::new(opts.seed, threads);
@@ -182,15 +188,23 @@ fn main() {
             );
             let (_, kernel_shard, _, _) = kernel_pool.into_parts();
             let (_, scalar_shard, _, _) = scalar_pool.into_parts();
+            let kernel_arena = PrrArena::from_shard(kernel_shard);
             assert!(
-                PrrArena::from_shard(kernel_shard) == PrrArena::from_shard(scalar_shard),
+                kernel_arena == PrrArena::from_shard(scalar_shard),
                 "kernel arena diverged from scalar oracle ({threads} threads, {mode:?})"
             );
+            if mode == FootprintMode::Off {
+                assert!(
+                    kernel_arena == legacy_arena,
+                    "shard-built arena diverged from the legacy copy-built arena \
+                     ({threads} threads)"
+                );
+            }
         }
     }
     eprintln!(
         "kernel ≡ scalar oracle verified over {equiv_target} samples at 1 and 7 threads, \
-         footprints off and on"
+         footprints off and hybrid; shard ≡ legacy copy"
     );
 
     // Dedicated single-thread A/B: the same capped workload through the
@@ -222,7 +236,7 @@ fn main() {
         // construction inside the workers, chunk-ordered absorbs on
         // merge, a final move into the pool) and reports build/select
         // timing and peak pool-build memory on the solution.
-        let mut engine = build_engine(&g, &seeds, &opts, threads, Pipeline::Shard);
+        let mut engine = build_engine(&g, &seeds, &opts, threads);
         let solution = engine.solve(&Algorithm::PrrBoost).expect("solve");
         let stats = solution.stats;
 
@@ -286,49 +300,6 @@ fn main() {
     }
     let (mut ref_engine, ref_solution) = reference.expect("at least one sweep entry");
 
-    // Legacy baseline: the same engine API over the per-graph payload
-    // pipeline (sample into standalone `CompressedPrr`, then copy into
-    // the arena), at the fastest thread count. Peak memory additionally
-    // holds every payload while the arena is copied together.
-    let mut legacy_json = String::new();
-    if opts.legacy_baseline {
-        let threads = *opts.threads.iter().max().unwrap();
-        let mut legacy = build_engine(&g, &seeds, &opts, threads, Pipeline::Legacy);
-        let legacy_solution = legacy.solve(&Algorithm::PrrBoost).expect("solve");
-        let lstats = legacy_solution.stats;
-        assert!(
-            legacy.pool_if_built().expect("legacy pool").arena()
-                == ref_engine.pool_if_built().expect("reference pool").arena(),
-            "shard-built arena diverged from the legacy copy-built arena"
-        );
-        assert_eq!(
-            legacy_solution.boost_set, ref_solution.boost_set,
-            "legacy-pipeline selection diverged from the shard pipeline"
-        );
-        let shard_peak = sweep
-            .iter()
-            .find(|p| p.threads == threads)
-            .map_or(sweep[0].build_peak_bytes, |p| p.build_peak_bytes);
-        eprintln!(
-            "legacy baseline [{threads} threads]: sampled in {:.2}s + {:.3}s arena copy; \
-             peak build {:.1} MiB vs shard {:.1} MiB ({:.2}x)",
-            lstats.build_secs,
-            lstats.convert_secs,
-            lstats.build_peak_bytes as f64 / (1024.0 * 1024.0),
-            shard_peak as f64 / (1024.0 * 1024.0),
-            lstats.build_peak_bytes as f64 / shard_peak.max(1) as f64,
-        );
-        legacy_json = format!(
-            ",\n  \"legacy_baseline\": {{\n    \"threads\": {threads},\n    \
-             \"sample_secs\": {:.4},\n    \"arena_copy_secs\": {:.4},\n    \
-             \"build_peak_bytes\": {},\n    \"peak_vs_shard\": {:.4}\n  }}",
-            lstats.build_secs,
-            lstats.convert_secs,
-            lstats.build_peak_bytes,
-            lstats.build_peak_bytes as f64 / shard_peak.max(1) as f64,
-        );
-    }
-
     // Deadline curve: what accuracy a latency budget actually buys.
     // Fresh engines solve under sample budgets of ⅛, ¼ and ½ of the full
     // target through `solve_within`; the full-target reference solution
@@ -339,7 +310,7 @@ fn main() {
     let mut curve_json: Vec<String> = Vec::new();
     for denom in [8u64, 4, 2] {
         let budget_samples = (opts.samples / denom).max(1);
-        let mut engine = build_engine(&g, &seeds, &opts, curve_threads, Pipeline::Shard);
+        let mut engine = build_engine(&g, &seeds, &opts, curve_threads);
         let solution = engine
             .solve_within(
                 &Algorithm::PrrBoost,
@@ -403,7 +374,7 @@ fn main() {
          \"arena_bytes\": {},\n  \"delta_hat\": {:.4},\n  \
          \"samples_per_sec_kernel\": {:.1},\n  \"kernel_speedup\": {:.4},\n  \
          \"thread_sweep\": [\n{}\n  ],\n  \
-         \"deadline_curve\": [\n{}\n  ]{}\n}}\n",
+         \"deadline_curve\": [\n{}\n  ]\n}}\n",
         g.num_nodes(),
         g.num_edges(),
         seeds.len(),
@@ -420,7 +391,6 @@ fn main() {
         kernel_speedup,
         sweep_json.join(",\n"),
         curve_json.join(",\n"),
-        legacy_json,
     );
     std::fs::write(&opts.out, &json).expect("write BENCH_prr.json");
     println!("{json}");

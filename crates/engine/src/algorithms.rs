@@ -163,7 +163,7 @@ impl BoostAlgorithm for Algorithm {
 /// achieved ε inverts the IMM sample bound.
 fn pool_stats(engine: &Engine, select_secs: f64, covered: u64, mu_lb: f64) -> SolveStats {
     let pool = engine.pool_built();
-    let (build_secs, convert_secs, build_peak_bytes) = engine.pool_build_stats();
+    let (build_secs, build_peak_bytes) = engine.pool_build_stats();
     let n = engine.graph().num_nodes();
     let eps = achieved_epsilon(
         n,
@@ -178,7 +178,6 @@ fn pool_stats(engine: &Engine, select_secs: f64, covered: u64, mu_lb: f64) -> So
         boostable: pool.num_boostable() as u64,
         covered,
         build_secs,
-        convert_secs,
         select_secs,
         build_peak_bytes,
         pool_bytes: pool.memory_bytes(),
@@ -341,7 +340,6 @@ fn solve_prr_boost_lb(engine: &mut Engine) -> Result<Solution, KboostError> {
             boostable: pool.covers().len() as u64,
             covered: result.covered,
             build_secs,
-            convert_secs: 0.0,
             select_secs: 0.0,
             build_peak_bytes: cover_bytes,
             pool_bytes: cover_bytes,

@@ -44,19 +44,6 @@ pub enum Sampling {
     },
 }
 
-/// Which storage pipeline builds the pool.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Pipeline {
-    /// The streaming shard→arena pipeline — the production hot path.
-    Shard,
-    /// The legacy per-graph payload pipeline (sample into standalone
-    /// `CompressedPrr` objects, then copy into the arena). Kept as the
-    /// equivalence oracle and the memory/throughput baseline that
-    /// `exp_perf` records; supports [`Sampling::Fixed`] only and cannot
-    /// serve online mutations.
-    Legacy,
-}
-
 /// A fully validated engine configuration (everything but the graph and
 /// seed set, which the [`Engine`] owns directly).
 #[derive(Clone, Copy, Debug)]
@@ -79,8 +66,6 @@ pub struct EngineConfig {
     pub min_sketches: u64,
     /// Pool sizing policy.
     pub sampling: Sampling,
-    /// Storage pipeline.
-    pub pipeline: Pipeline,
     /// Online maintenance: compact the arena when the tombstoned fraction
     /// exceeds this threshold.
     pub compact_threshold: f64,
@@ -121,7 +106,6 @@ pub struct EngineBuilder {
     max_sketches: Option<u64>,
     min_sketches: u64,
     sampling: Sampling,
-    pipeline: Pipeline,
     compact_threshold: f64,
     staleness: Staleness,
     algorithm: Algorithm,
@@ -145,7 +129,6 @@ impl EngineBuilder {
             max_sketches: None,
             min_sketches: 0,
             sampling: Sampling::Imm,
-            pipeline: Pipeline::Shard,
             compact_threshold: 0.25,
             staleness: Staleness::Approximate,
             algorithm: Algorithm::Sandwich,
@@ -217,12 +200,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Storage pipeline (default [`Pipeline::Shard`]).
-    pub fn pipeline(mut self, pipeline: Pipeline) -> Self {
-        self.pipeline = pipeline;
-        self
-    }
-
     /// Online maintenance compaction threshold ∈ [0, 1] (default 0.25).
     pub fn compact_threshold(mut self, threshold: f64) -> Self {
         self.compact_threshold = threshold;
@@ -230,19 +207,21 @@ impl EngineBuilder {
     }
 
     /// Online staleness-detection rule (default
-    /// [`Staleness::Approximate`]). The exact modes retain a per-sample
-    /// edge-space footprint so mutations invalidate exactly the samples
-    /// whose generation queried them — zero estimator drift at the cost
-    /// of footprint memory ([`SolveStats::footprint_bytes`]). Memory
-    /// tiers: `Exact` stores sorted lists, `ExactCompressed` delta-varint
-    /// blobs (never more bytes than sorted), `ExactBloom` / `ExactHybrid`
-    /// constant-size fingerprints (never-miss, rare extra refreshes), and
-    /// `ExactTrace` adds each sample's coin trace so invalidated samples
-    /// are conditionally *replayed* instead of redrawn — the maintained
-    /// pool stays distribution-fresh under partial churn. Requires
-    /// [`Sampling::Fixed`] on the shard pipeline: footprints only pay off
-    /// where a maintainer can refresh, and the legacy oracle pipeline
-    /// does not carry them.
+    /// [`Staleness::Approximate`]). The default under-detects: at
+    /// `exp_online`'s default scale (20k nodes, 40k samples, ~10 %
+    /// churn) epoch 1 invalidated 672 samples, against 8,738 under exact
+    /// detection (4,536 stored graphs + 4,202 empty samples). The exact
+    /// modes retain a per-sample edge-space footprint so mutations
+    /// invalidate exactly the samples whose generation queried them —
+    /// zero estimator drift at the cost of footprint memory
+    /// ([`SolveStats::footprint_bytes`]). Memory tiers: `ExactCompressed`
+    /// stores interned delta-varint blobs, `ExactHybrid` bounds the long
+    /// tail with constant-size fingerprints (never-miss, extra
+    /// refreshes), and `ExactTrace` adds each sample's coin trace so
+    /// invalidated samples are conditionally *replayed* instead of
+    /// redrawn — the maintained pool stays distribution-fresh under
+    /// partial churn. Exact modes require [`Sampling::Fixed`]: footprints
+    /// only pay off where a maintainer can refresh.
     ///
     /// [`SolveStats::footprint_bytes`]: crate::SolveStats::footprint_bytes
     pub fn staleness(mut self, staleness: Staleness) -> Self {
@@ -281,8 +260,7 @@ impl EngineBuilder {
     /// budget larger than the non-seed population, ε ∉ (0, 1), ℓ ≤ 0
     /// (or δ ∉ (0, 1)), zero threads, a zero fixed sample target, a
     /// sketch cap below the floor, a compaction threshold outside
-    /// [0, 1], or an exact staleness rule off the fixed-sampling shard
-    /// pipeline (or with an invalid bloom fingerprint width).
+    /// [0, 1], or an exact staleness rule without fixed sampling.
     pub fn build(self) -> Result<Engine, KboostError> {
         let n = self.graph.num_nodes();
         if n == 0 {
@@ -366,30 +344,12 @@ impl EngineBuilder {
                 ),
             ));
         }
-        if self.pipeline == Pipeline::Legacy && !matches!(self.sampling, Sampling::Fixed { .. }) {
+        if self.staleness.is_exact() && !matches!(self.sampling, Sampling::Fixed { .. }) {
             return Err(config_err(
-                "pipeline",
-                "the legacy oracle pipeline supports Sampling::Fixed only",
+                "staleness",
+                "exact staleness requires Sampling::Fixed (online mode): footprints \
+                 exist so a maintainer can refresh exactly the invalidated samples",
             ));
-        }
-        if self.staleness.is_exact() {
-            if let Err(message) = self.staleness.footprint_mode().validate() {
-                return Err(config_err("staleness", message));
-            }
-            if self.pipeline == Pipeline::Legacy {
-                return Err(config_err(
-                    "staleness",
-                    "exact staleness needs the shard pipeline: the legacy oracle \
-                     retains no footprints",
-                ));
-            }
-            if !matches!(self.sampling, Sampling::Fixed { .. }) {
-                return Err(config_err(
-                    "staleness",
-                    "exact staleness requires Sampling::Fixed (online mode): footprints \
-                     exist so a maintainer can refresh exactly the invalidated samples",
-                ));
-            }
         }
 
         let cfg = EngineConfig {
@@ -401,7 +361,6 @@ impl EngineBuilder {
             max_sketches: self.max_sketches,
             min_sketches: self.min_sketches,
             sampling: self.sampling,
-            pipeline: self.pipeline,
             compact_threshold: self.compact_threshold,
             staleness: self.staleness,
             algorithm: self.algorithm,

@@ -9,16 +9,16 @@ use kboost_obs::{MetricsSnapshot, Obs, Value};
 use kboost_online::{
     validate_mutations, EpochBatch, EpochReport, MaintainerOptions, Mutation, PoolMaintainer,
 };
-use kboost_prr::{CompressedPrr, LegacyPrrSource, PrrFullSource};
+use kboost_prr::PrrFullSource;
 use kboost_rrset::greedy::greedy_max_cover;
 use kboost_rrset::imm::{achieved_epsilon, run_imm_within, ImmParams};
-use kboost_rrset::sketch::{ExtendStatus, SketchPool};
+use kboost_rrset::sketch::SketchPool;
 use kboost_rrset::ssa::{run_ssa_within, SsaParams};
 use kboost_serve::{PoolSnapshot, SnapshotService};
 
 use crate::algorithms::BoostAlgorithm;
 use crate::budget::{Budget, ResolvedBudget, SolveProgress};
-use crate::config::{EngineConfig, Pipeline, Sampling};
+use crate::config::{EngineConfig, Sampling};
 use crate::error::KboostError;
 use crate::solution::Solution;
 
@@ -46,14 +46,6 @@ pub(crate) enum PoolState {
     Maintained {
         maintainer: PoolMaintainer,
         build_secs: f64,
-    },
-    /// Fixed-size pool built through the legacy per-graph payload
-    /// pipeline (the equivalence oracle / memory baseline).
-    Legacy {
-        pool: PrrPool,
-        build_secs: f64,
-        convert_secs: f64,
-        peak_bytes: usize,
     },
 }
 
@@ -158,7 +150,6 @@ impl Engine {
             if let Ok(solution) = &out {
                 obs.counter_add("engine.solves", 1);
                 obs.observe("engine.solve.build_secs", solution.stats.build_secs);
-                obs.observe("engine.solve.convert_secs", solution.stats.convert_secs);
                 obs.observe("engine.solve.select_secs", solution.stats.select_secs);
                 if let Some(eps) = solution.stats.achieved_epsilon {
                     obs.gauge_set("engine.achieved_epsilon", eps);
@@ -271,10 +262,10 @@ impl Engine {
     /// current state, building the pool if needed) and re-published by
     /// the maintainer after every committed epoch.
     ///
-    /// Config validation: serving shares the online requirements
-    /// ([`Sampling::Fixed`] + the shard pipeline), rejected with a typed
-    /// [`KboostError::Unsupported`] otherwise — an adaptive or legacy
-    /// pool has no maintainer to publish epochs.
+    /// Config validation: serving shares the online requirement
+    /// ([`Sampling::Fixed`]), rejected with a typed
+    /// [`KboostError::Unsupported`] otherwise — an adaptive pool has no
+    /// maintainer to publish epochs.
     ///
     /// [`SnapshotService`]: kboost_serve::SnapshotService
     pub fn serving(&mut self) -> Result<SnapshotService, KboostError> {
@@ -331,7 +322,7 @@ impl Engine {
     pub fn pool_if_built(&self) -> Option<&PrrPool> {
         match &self.state {
             PoolState::Unbuilt => None,
-            PoolState::Adaptive { pool, .. } | PoolState::Legacy { pool, .. } => Some(pool),
+            PoolState::Adaptive { pool, .. } => Some(pool),
             PoolState::Maintained { maintainer, .. } => Some(maintainer.pool()),
         }
     }
@@ -342,7 +333,7 @@ impl Engine {
     /// serving `Δ̂`/`µ̂`/solve queries while the graph evolves.
     ///
     /// Requires [`Sampling::Fixed`] (the maintainer keeps the sample
-    /// count constant) and the shard pipeline. The epoch is
+    /// count constant). The epoch is
     /// transactional: a gap is a typed [`KboostError::EpochOrder`], a
     /// malformed mutation (out-of-universe endpoint, self-loop) is a
     /// typed [`KboostError::Mutation`] — never a panic — and in every
@@ -392,12 +383,8 @@ impl Engine {
     }
 
     fn require_online(&self, operation: &'static str) -> Result<(), KboostError> {
-        match (self.cfg.sampling, self.cfg.pipeline) {
-            (Sampling::Fixed { .. }, Pipeline::Shard) => Ok(()),
-            (_, Pipeline::Legacy) => Err(KboostError::Unsupported {
-                operation,
-                reason: "the legacy oracle pipeline cannot maintain a pool online".into(),
-            }),
+        match self.cfg.sampling {
+            Sampling::Fixed { .. } => Ok(()),
             _ => Err(KboostError::Unsupported {
                 operation,
                 reason: "online maintenance requires Sampling::Fixed so the maintainer can \
@@ -456,8 +443,8 @@ impl Engine {
     }
 
     fn build_pool_with(&mut self, term: &ResolvedBudget) -> Result<(), KboostError> {
-        match (self.cfg.sampling, self.cfg.pipeline) {
-            (Sampling::Imm, Pipeline::Shard) => {
+        match self.cfg.sampling {
+            Sampling::Imm => {
                 let t0 = Instant::now();
                 let g = self.graph.as_ref().expect("offline engine owns the graph");
                 let source = PrrFullSource::new(g, &self.seeds, self.cfg.k);
@@ -474,7 +461,7 @@ impl Engine {
                     peak_bytes,
                 };
             }
-            (Sampling::Ssa { initial }, Pipeline::Shard) => {
+            Sampling::Ssa { initial } => {
                 let t0 = Instant::now();
                 let g = self.graph.as_ref().expect("offline engine owns the graph");
                 let source = PrrFullSource::new(g, &self.seeds, self.cfg.k);
@@ -498,12 +485,12 @@ impl Engine {
                     peak_bytes,
                 };
             }
-            (Sampling::Fixed { samples }, Pipeline::Shard) => {
+            Sampling::Fixed { samples } => {
                 let t0 = Instant::now();
                 // The maintainer takes the graph by value; keep ours
-                // until the build succeeds so a typed failure (bad
-                // staleness config, injected panic) leaves the engine
-                // fully usable. The copy is a flat-array memcpy — noise
+                // until the build succeeds so a typed failure (a
+                // contained sampling panic) leaves the engine fully
+                // usable. The copy is a flat-array memcpy — noise
                 // against the sampling the build is about to do.
                 let g = self
                     .graph
@@ -569,36 +556,6 @@ impl Engine {
                     build_secs: t0.elapsed().as_secs_f64(),
                 };
             }
-            (Sampling::Fixed { samples }, Pipeline::Legacy) => {
-                let t0 = Instant::now();
-                let g = self.graph.as_ref().expect("offline engine owns the graph");
-                let source = LegacyPrrSource::new(g, &self.seeds, self.cfg.k);
-                let mut sketches: SketchPool<Vec<CompressedPrr>> =
-                    SketchPool::new(self.cfg.seed, self.cfg.threads);
-                sketches.set_obs(self.obs.clone());
-                let status = sketches.extend_to_within(&source, samples, term);
-                self.interrupted = status == ExtendStatus::Interrupted;
-                let build_secs = t0.elapsed().as_secs_f64();
-                let payload_bytes: usize = sketches
-                    .shard()
-                    .iter()
-                    .map(|c| c.memory_bytes() + std::mem::size_of::<CompressedPrr>())
-                    .sum();
-                let cover_bytes = sketches.cover_memory_bytes();
-                let t1 = Instant::now();
-                let pool = PrrPool::from_legacy(sketches, g.num_nodes(), self.cfg.threads);
-                let convert_secs = t1.elapsed().as_secs_f64();
-                let peak_bytes = payload_bytes + cover_bytes + pool.memory_bytes();
-                self.state = PoolState::Legacy {
-                    pool,
-                    build_secs,
-                    convert_secs,
-                    peak_bytes,
-                };
-            }
-            (_, Pipeline::Legacy) => {
-                unreachable!("EngineBuilder rejects adaptive sampling on the legacy pipeline")
-            }
         }
         Ok(())
     }
@@ -640,26 +597,20 @@ impl Engine {
         Ok((res.selected, res.covered))
     }
 
-    /// `(build_secs, convert_secs, peak_bytes)` of the pool build — the
-    /// numbers `exp_perf` records per pipeline.
-    pub(crate) fn pool_build_stats(&self) -> (f64, f64, usize) {
+    /// `(build_secs, peak_bytes)` of the pool build — the numbers
+    /// `exp_perf` records.
+    pub(crate) fn pool_build_stats(&self) -> (f64, usize) {
         match &self.state {
-            PoolState::Unbuilt => (0.0, 0.0, 0),
+            PoolState::Unbuilt => (0.0, 0),
             PoolState::Adaptive {
                 build_secs,
                 peak_bytes,
                 ..
-            } => (*build_secs, 0.0, *peak_bytes),
+            } => (*build_secs, *peak_bytes),
             PoolState::Maintained {
                 maintainer,
                 build_secs,
-            } => (*build_secs, 0.0, maintainer.build_peak_bytes()),
-            PoolState::Legacy {
-                build_secs,
-                convert_secs,
-                peak_bytes,
-                ..
-            } => (*build_secs, *convert_secs, *peak_bytes),
+            } => (*build_secs, maintainer.build_peak_bytes()),
         }
     }
 }

@@ -39,7 +39,7 @@ pub enum KboostError {
     Io(String),
     /// The requested operation is not supported under the engine's
     /// configuration (e.g. online maintenance without fixed-size
-    /// sampling, or the legacy oracle pipeline with adaptive sampling).
+    /// sampling).
     Unsupported {
         /// The operation that was attempted.
         operation: &'static str,
@@ -134,10 +134,6 @@ impl From<OnlineError> for KboostError {
     fn from(e: OnlineError) -> Self {
         match e {
             OnlineError::Mutation(m) => KboostError::Mutation(m),
-            OnlineError::Staleness { message } => KboostError::Config {
-                field: "staleness",
-                message,
-            },
             OnlineError::EpochOrder { expected, got } => KboostError::EpochOrder { expected, got },
             OnlineError::Interrupted { epoch, cause } => KboostError::Interrupted { epoch, cause },
         }

@@ -81,7 +81,7 @@ mod solution;
 
 pub use algorithms::{Algorithm, BoostAlgorithm};
 pub use budget::{Budget, SolveProgress};
-pub use config::{EngineBuilder, EngineConfig, Pipeline, Sampling};
+pub use config::{EngineBuilder, EngineConfig, Sampling};
 pub use engine::Engine;
 pub use error::KboostError;
 pub use solution::{SandwichCertificate, Solution, SolveStats};

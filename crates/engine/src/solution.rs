@@ -42,9 +42,6 @@ pub struct SolveStats {
     /// solve that reuses an already-built pool reports the same build
     /// time again.
     pub build_secs: f64,
-    /// Extra seconds converting per-graph payloads into the arena — only
-    /// the legacy oracle pipeline pays this copy stage.
-    pub convert_secs: f64,
     /// Wall-clock seconds in node selection.
     pub select_secs: f64,
     /// Peak bytes alive during the pool build (arena/payloads plus

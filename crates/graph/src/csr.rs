@@ -279,16 +279,15 @@ pub struct InEdgeSoa {
 }
 
 impl InEdgeSoa {
-    /// The flat edge range of `v`'s in-edges: index `heads`/`base`/
-    /// `boosted` with it.
+    /// The flat edge range of `v`'s in-edges: index `heads`/`probs`
+    /// with it.
     #[inline]
     pub fn range(&self, v: NodeId) -> (usize, usize) {
         let i = v.index();
         (self.offsets[i] as usize, self.offsets[i + 1] as usize)
     }
 
-    /// Edge source ids, parallel to [`base`](Self::base) and
-    /// [`boosted`](Self::boosted).
+    /// Edge source ids, parallel to [`probs`](Self::probs).
     #[inline]
     pub fn heads(&self) -> &[u32] {
         &self.heads

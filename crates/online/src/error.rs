@@ -82,12 +82,6 @@ impl fmt::Display for InterruptCause {
 pub enum OnlineError {
     /// The batch failed ingress validation; nothing was applied.
     Mutation(MutationError),
-    /// The staleness rule's footprint parameters are invalid (an
-    /// `ExactBloom` width that is not a power of two ≥ 64).
-    Staleness {
-        /// What is wrong with the configuration.
-        message: String,
-    },
     /// Epochs must apply contiguously (`expected = current + 1`), or the
     /// refresh seed streams would diverge from the replay oracle's.
     EpochOrder {
@@ -110,9 +104,6 @@ impl fmt::Display for OnlineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             OnlineError::Mutation(e) => write!(f, "invalid mutation batch: {e}"),
-            OnlineError::Staleness { message } => {
-                write!(f, "invalid staleness configuration: {message}")
-            }
             OnlineError::EpochOrder { expected, got } => write!(
                 f,
                 "epochs must be applied contiguously: expected epoch {expected}, got {got}"

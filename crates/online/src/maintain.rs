@@ -63,57 +63,49 @@ pub enum Staleness {
     /// phase-I exploration touched a mutated edge without keeping either
     /// endpoint past compression, and empty (activated / hopeless)
     /// samples, are never refreshed, so the estimator drifts from a fresh
-    /// pool's distribution as mutations accumulate.
+    /// pool's distribution as mutations accumulate. At `exp_online`'s
+    /// default scale (20k nodes, 40k samples, ~10 % churn) epoch 1
+    /// invalidated 672 samples, against 8,738 under exact detection
+    /// (4,536 stored graphs + 4,202 empty samples).
     #[default]
     Approximate,
     /// Match mutated edge *heads* against the exact per-sample edge-space
-    /// footprint (sorted expanded-node list) retained at sampling time
-    /// for **every** sample, empty ones included. Detection is exact —
-    /// a sample is refreshed iff its generation queried a mutated edge's
-    /// slot, so every retained sample is bitwise what resampling it over
-    /// the new graph would produce, and the maintained pool equals the
-    /// from-scratch exact replay byte for byte (zero recorded drift).
-    /// The cost is the footprint columns' memory. One statistical caveat
-    /// remains under the unconditioned-redraw refresh this rule (and
-    /// every non-trace rule) uses: invalidated slots are redrawn
-    /// *unconditioned*, while the slots selected for invalidation are
-    /// conditionally different from average (their traces explored the
-    /// mutated region), so the pool is not identical in distribution to
-    /// an independent fresh pool — [`ExactTrace`](Staleness::ExactTrace)
-    /// closes that gap; `tests/estimator_accuracy.rs` pins both the
-    /// zero-drift guarantee and the residual gap.
-    Exact,
-    /// [`Exact`](Staleness::Exact) with footprints compressed into
-    /// fixed-size bloom fingerprints of `bits` bits per sample (power of
-    /// two ≥ 64): constant memory per sample; false positives refresh a
-    /// few extra samples (harmless) but nothing is ever missed.
-    ExactBloom {
-        /// Bits per fingerprint; must be a power of two ≥ 64.
-        bits: u32,
-    },
-    /// [`Exact`](Staleness::Exact) with footprints stored as delta-varint
-    /// compressed blobs behind an interning dictionary
-    /// ([`FootprintMode::Compressed`]): detection is still exact and
-    /// still index-driven (the blobs decode), at a fraction of the
-    /// sorted tier's memory — never more bytes than sorted, by
-    /// construction.
+    /// footprint (expanded-node set) retained at sampling time for
+    /// **every** sample, empty ones included, stored as delta-varint
+    /// blobs behind an interning dictionary
+    /// ([`FootprintMode::Compressed`]). Detection is exact and
+    /// index-driven (the blobs decode): a sample is refreshed iff its
+    /// generation queried a mutated edge's slot, so every retained sample
+    /// is bitwise what resampling it over the new graph would produce,
+    /// and the maintained pool equals the from-scratch exact replay byte
+    /// for byte (zero recorded drift). The cost is the footprint
+    /// columns' memory. One statistical caveat remains under the
+    /// unconditioned-redraw refresh this rule (and every non-trace rule)
+    /// uses: invalidated slots are redrawn *unconditioned*, while the
+    /// slots selected for invalidation are conditionally different from
+    /// average (their traces explored the mutated region), so the pool
+    /// is not identical in distribution to an independent fresh pool —
+    /// [`ExactTrace`](Staleness::ExactTrace) closes that gap;
+    /// `tests/estimator_accuracy.rs` pins both the zero-drift guarantee
+    /// and the residual gap.
     ExactCompressed,
-    /// The production memory tier: footprints at most `bloom_above`
-    /// nodes long are stored exactly (compressed), longer ones collapse
-    /// to a fixed [`HYBRID_BLOOM_BITS`](kboost_prr::HYBRID_BLOOM_BITS)-bit
-    /// bloom fingerprint. Detection never misses; the rare long-footprint
-    /// false positive refreshes a few extra samples. Fingerprints are
-    /// one-way, so this tier scans instead of indexing — like
-    /// [`ExactBloom`](Staleness::ExactBloom), with exact verdicts for
-    /// the (dominant) short footprints.
+    /// The bounded-memory tier: footprints at most `bloom_above` nodes
+    /// long are stored exactly (compressed), longer ones collapse to a
+    /// fixed [`HYBRID_BLOOM_BITS`](kboost_prr::HYBRID_BLOOM_BITS)-bit
+    /// bloom fingerprint. Detection never misses; a long-footprint false
+    /// positive refreshes an unaffected sample (the
+    /// `online.invalidated_bloom` counter reports how many refreshes a
+    /// fingerprint caused). Fingerprints are one-way, so this tier scans
+    /// instead of indexing, with exact verdicts for the short footprints.
     ExactHybrid {
         /// Footprints longer than this many nodes use the bloom
-        /// fingerprint; must be ≥ 1.
+        /// fingerprint. Any value is valid: `0` fingerprints every
+        /// non-empty footprint.
         bloom_above: u32,
     },
-    /// [`Exact`](Staleness::Exact) detection plus *conditional refresh*:
-    /// every sample retains its queried-edge coin trace
-    /// ([`FootprintMode::Trace`]), and an invalidated sample is not
+    /// [`ExactCompressed`](Staleness::ExactCompressed) detection plus
+    /// *conditional refresh*: every sample retains its queried-edge coin
+    /// trace ([`FootprintMode::Trace`]), and an invalidated sample is not
     /// redrawn from scratch but *replayed* — coins on edges the batch
     /// left untouched are reused, only mutated coins (and coins on
     /// newly reachable edges) are drawn fresh, from a per-sample stream
@@ -132,8 +124,6 @@ impl Staleness {
     pub fn footprint_mode(self) -> FootprintMode {
         match self {
             Staleness::Approximate => FootprintMode::Off,
-            Staleness::Exact => FootprintMode::Sorted,
-            Staleness::ExactBloom { bits } => FootprintMode::Bloom { bits },
             Staleness::ExactCompressed => FootprintMode::Compressed,
             Staleness::ExactHybrid { bloom_above } => FootprintMode::Hybrid { bloom_above },
             Staleness::ExactTrace => FootprintMode::Trace,
@@ -301,8 +291,8 @@ impl InvalidationIndex {
 
 /// Emits the staleness-relevant nodes of stored graph `gi` under the
 /// given rule: the node table (approximate) or the retained footprint
-/// (any decodable tier — sorted, compressed or trace). Fingerprint tiers
-/// (bloom, hybrid) are one-way and never indexed — their queries scan
+/// (any decodable tier — compressed or trace). The hybrid tier's
+/// fingerprints are one-way, so it is never indexed — its queries scan
 /// instead.
 fn graph_entry_nodes(arena: &PrrArena, staleness: Staleness, gi: usize, emit: &mut dyn FnMut(u32)) {
     let mode = staleness.footprint_mode();
@@ -350,11 +340,11 @@ fn empty_entry_nodes(arena: &PrrArena, i: usize, emit: &mut dyn FnMut(u32)) {
     arena.empty_footprints().for_each_node(i, emit);
 }
 
-/// Fingerprint-tier staleness (bloom and hybrid): scan the live entries
-/// of `column` against a prepared query (fingerprints are one-way, so
-/// there is no index to consult; the hybrid tier's short entries still
-/// answer exactly inside [`FootprintColumn::matches`]) — shared by the
-/// stored-graph and empty-sample paths.
+/// Hybrid-tier staleness: scan the live entries of `column` against a
+/// prepared query (fingerprints are one-way, so there is no index to
+/// consult; short entries still answer exactly inside
+/// [`FootprintColumn::matches`]) — shared by the stored-graph and
+/// empty-sample paths.
 fn matches_stale_scan(
     column: &FootprintColumn,
     count: usize,
@@ -447,10 +437,10 @@ pub struct PoolMaintainer {
     /// Stored-graph invalidation index, built lazily on the first
     /// staleness query, so purely offline consumers of the fixed-size
     /// pool (perf sweeps, one-shot solves) never pay for or retain it.
-    /// `None` also encodes "invalidated by compaction". Bloom staleness
+    /// `None` also encodes "invalidated by compaction". Hybrid staleness
     /// never builds one (fingerprints are scanned, not indexed).
     index: Option<InvalidationIndex>,
-    /// Empty-sample invalidation index ([`Staleness::Exact`] only), same
+    /// Empty-sample invalidation index (decodable exact tiers only), same
     /// lifecycle as `index`.
     empty_index: Option<InvalidationIndex>,
     build_peak_bytes: usize,
@@ -472,11 +462,6 @@ impl PoolMaintainer {
     /// through the streaming shard pipeline, bit-identical to an offline
     /// [`SketchPool`] build with the same base seed (footprint capture,
     /// when the staleness rule retains one, consumes no randomness).
-    ///
-    /// Invalid staleness parameters (an
-    /// [`ExactBloom`](Staleness::ExactBloom) width that is not a power of
-    /// two ≥ 64) are rejected with [`OnlineError::Staleness`] — the
-    /// engine API additionally validates this at configuration time.
     pub fn build(
         graph: DiGraph,
         seeds: Vec<NodeId>,
@@ -534,11 +519,6 @@ impl PoolMaintainer {
         term: &T,
         on_stage: &mut dyn FnMut(u64, &SketchPool<PrrArenaShard>),
     ) -> Result<Self, OnlineError> {
-        if let Err(message) = opts.staleness.footprint_mode().validate() {
-            return Err(OnlineError::Staleness {
-                message: message.to_string(),
-            });
-        }
         let sampled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let source = PrrFullSource::with_footprints(
                 &graph,
@@ -660,16 +640,16 @@ impl PoolMaintainer {
     /// [`stale_empty_samples`](Self::stale_empty_samples) — which this
     /// stored-graph view does not list.)
     ///
-    /// Approximate and exact-sorted rules answer from an **incrementally
-    /// maintained** node → samples [`NodeIndex`], built lazily on first
-    /// use: refreshes append the absorbed samples' entries (folding the
-    /// tail into the CSR base when it outgrows it), tombstoned samples
-    /// are filtered at query time, and compaction invalidates the cache
-    /// wholesale. A dry run therefore costs
+    /// Approximate, compressed and trace rules answer from an
+    /// **incrementally maintained** node → samples [`NodeIndex`], built
+    /// lazily on first use: refreshes append the absorbed samples'
+    /// entries (folding the tail into the CSR base when it outgrows it),
+    /// tombstoned samples are filtered at query time, and compaction
+    /// invalidates the cache wholesale. A dry run therefore costs
     /// `O(n + index-hit scan + appended tail)` in scratch flags and
-    /// lookups. The bloom tier stores one-way fingerprints that cannot be
-    /// inverted into an index, so it scans the live fingerprints instead
-    /// (a handful of bit tests each).
+    /// lookups. The hybrid tier stores one-way fingerprints that cannot
+    /// be inverted into an index, so it scans the live entries instead (a
+    /// handful of bit tests per fingerprint).
     ///
     /// # Panics
     /// Panics if a mutation endpoint is outside the graph's node
@@ -855,6 +835,20 @@ impl PoolMaintainer {
         let stale_empty = self.stale_empty_samples(&batch.mutations);
         let invalidated_empty = stale_empty.len() as u64;
         let invalidated = stale.len() as u64 + invalidated_empty;
+        // Stale entries whose verdict came from a hybrid fingerprint (so
+        // may be false positives), counted before commit renumbers them.
+        let invalidated_bloom = if obs.is_enabled() {
+            let arena = self.pool.arena();
+            let stored = stale
+                .iter()
+                .filter(|&&i| arena.footprints().is_fingerprint(i as usize));
+            let empty = stale_empty
+                .iter()
+                .filter(|&&i| arena.empty_footprints().is_fingerprint(i as usize));
+            (stored.count() + empty.count()) as u64
+        } else {
+            0
+        };
 
         let refresh = if invalidated > 0 {
             let _refresh_span = obs.span("online.epoch.refresh_secs");
@@ -1024,6 +1018,7 @@ impl PoolMaintainer {
             obs.counter_add("online.epochs", 1);
             obs.counter_add("online.invalidated", invalidated);
             obs.counter_add("online.invalidated_empty", invalidated_empty);
+            obs.counter_add("online.invalidated_bloom", invalidated_bloom);
             obs.counter_add("online.resampled", drawn_stored + drawn_empty);
             obs.counter_add("online.compactions", compacted as u64);
             obs.gauge_set("online.epoch", report.epoch as f64);
@@ -1065,10 +1060,9 @@ pub fn rebuild_from_history(
 ) -> (DiGraph, PrrPool) {
     match opts.staleness {
         Staleness::Approximate => rebuild_approximate(graph0, seeds, opts, history),
-        Staleness::Exact
-        | Staleness::ExactBloom { .. }
-        | Staleness::ExactCompressed
-        | Staleness::ExactHybrid { .. } => rebuild_exact(graph0, seeds, opts, history),
+        Staleness::ExactCompressed | Staleness::ExactHybrid { .. } => {
+            rebuild_exact(graph0, seeds, opts, history)
+        }
         Staleness::ExactTrace => rebuild_trace(graph0, seeds, opts, history),
     }
 }
@@ -1130,9 +1124,9 @@ fn rebuild_approximate(
 /// Exact-rule replay: every sample — stored or empty — is retained as a
 /// [`LegacySample`] with its raw footprint, scanned eagerly per epoch
 /// under the same footprint verdict the arena columns give
-/// ([`FootprintColumn::raw_matches`], so the bloom tier's false positives
-/// reproduce bit-for-bit), and the final arena is copy-built with the
-/// footprint columns in place.
+/// ([`FootprintColumn::raw_matches`], so the hybrid fingerprints' false
+/// positives reproduce bit-for-bit), and the final arena is copy-built
+/// with the footprint columns in place.
 fn rebuild_exact(
     graph0: &DiGraph,
     seeds: &[NodeId],
@@ -1409,19 +1403,6 @@ mod tests {
     }
 
     #[test]
-    fn invalid_bloom_width_is_rejected_at_build() {
-        let mut opts = quick_opts(100, 1);
-        opts.staleness = Staleness::ExactBloom { bits: 48 };
-        match PoolMaintainer::build(two_paths(), vec![NodeId(0)], opts) {
-            Err(OnlineError::Staleness { message }) => {
-                assert!(!message.is_empty(), "diagnostic carries the reason")
-            }
-            Err(other) => panic!("expected a staleness error, got {other:?}"),
-            Ok(_) => panic!("expected a staleness error, got a maintainer"),
-        }
-    }
-
-    #[test]
     fn skipping_an_epoch_is_a_typed_error() {
         let mut m =
             PoolMaintainer::build(two_paths(), vec![NodeId(0)], quick_opts(500, 1)).unwrap();
@@ -1653,7 +1634,7 @@ mod tests {
         let mut approx =
             PoolMaintainer::build(compressed_away(), vec![NodeId(0)], quick_opts(900, 2)).unwrap();
         let mut exact_opts = quick_opts(900, 2);
-        exact_opts.staleness = Staleness::Exact;
+        exact_opts.staleness = Staleness::ExactCompressed;
         let mut exact =
             PoolMaintainer::build(compressed_away(), vec![NodeId(0)], exact_opts).unwrap();
         assert!(exact.pool().num_boostable() > 0, "degenerate pool");
@@ -1695,9 +1676,8 @@ mod tests {
     #[test]
     fn exact_modes_match_their_replay_oracle() {
         for staleness in [
-            Staleness::Exact,
-            Staleness::ExactBloom { bits: 128 },
             Staleness::ExactCompressed,
+            Staleness::ExactHybrid { bloom_above: 0 },
             Staleness::ExactHybrid { bloom_above: 2 },
             Staleness::ExactTrace,
         ] {
@@ -1791,7 +1771,7 @@ mod tests {
         // stored-graph content — capture must consume no randomness.
         let opts_off = quick_opts(1_500, 2);
         let mut opts_on = opts_off;
-        opts_on.staleness = Staleness::Exact;
+        opts_on.staleness = Staleness::ExactCompressed;
         let off = PoolMaintainer::build(two_paths(), vec![NodeId(0)], opts_off).unwrap();
         let on = PoolMaintainer::build(two_paths(), vec![NodeId(0)], opts_on).unwrap();
         assert_eq!(off.pool().total_samples(), on.pool().total_samples());

@@ -28,7 +28,7 @@
 //! chunk shards are absorbed in global chunk-index order, so for a fixed
 //! `(base_seed, target sequence)` the final arena is **bit-identical for
 //! any thread count**. Shard construction reuses the exact CSR assembly of
-//! [`CompressedPrr::from_adjacency`], so a shard-built arena is also
+//! `CompressedPrr::from_parts`, so a shard-built arena is also
 //! byte-equal to a legacy arena built by pushing per-graph `CompressedPrr`
 //! payloads (`tests/shard_pipeline.rs` asserts both properties; the legacy
 //! path survives only as that equivalence oracle).

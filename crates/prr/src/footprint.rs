@@ -16,21 +16,18 @@
 //! **every** sample, so the online maintainer can answer staleness
 //! exactly instead of under-detecting (see `kboost-online`).
 //!
-//! Five retention tiers trade memory against decode cost:
+//! Three retention tiers trade memory against decode cost:
 //!
-//! * [`Sorted`](FootprintMode::Sorted) — raw `u32` lists (the PR 5
-//!   baseline; memory proportional to the phase-I exploration size).
-//! * [`Bloom`](FootprintMode::Bloom) — fixed-width fingerprints;
-//!   constant memory, may over-detect, never under-detects.
 //! * [`Compressed`](FootprintMode::Compressed) — delta-encoded varints
 //!   over the sorted ids, **interned**: footprint sizes are heavily
 //!   skewed because big in-components are shared across samples, so
 //!   identical encoded blobs are stored once in a per-column dictionary
-//!   and entries reference them by id. Still exact.
+//!   and entries reference them by id. Exact.
 //! * [`Hybrid`](FootprintMode::Hybrid) — exact varint blobs up to a
 //!   size threshold, a fixed [`HYBRID_BLOOM_BITS`]-bit bloom fingerprint
-//!   above it (both interned). Never under-detects; bounds the memory
-//!   of the heavy tail that dominates the sorted baseline.
+//!   above it (both interned). Never under-detects (a fingerprint may
+//!   over-detect); bounds the memory of the heavy tail of long
+//!   footprints.
 //! * [`Trace`](FootprintMode::Trace) — [`Compressed`] storage plus a
 //!   per-sample *trace sidecar*: the queried-edge outcomes of phase I,
 //!   retained so the online maintainer can refresh an invalidated
@@ -55,7 +52,8 @@ use std::mem::size_of;
 
 /// Fingerprint width of the bloom tier inside
 /// [`FootprintMode::Hybrid`] (bits; 32 bytes per distinct big
-/// footprint, interned like every other blob).
+/// footprint, interned like every other blob). A power of two, so bit
+/// positions reduce by mask.
 pub const HYBRID_BLOOM_BITS: u32 = 256;
 
 /// Entry tag: the referenced dictionary blob is a bloom fingerprint,
@@ -68,22 +66,8 @@ pub enum FootprintMode {
     /// No footprints (the offline default — zero bytes, zero work).
     #[default]
     Off,
-    /// Sorted, deduplicated expanded-node list per sample — exact
-    /// staleness detection with memory proportional to the phase-I
-    /// exploration size.
-    Sorted,
-    /// Fixed-size bloom fingerprint of `bits` bits per sample (power of
-    /// two, ≥ 64). Constant memory per sample; membership tests may
-    /// produce false positives (harmless over-refreshing) but never
-    /// false negatives, so staleness detection stays exact in the
-    /// never-under-detects sense.
-    Bloom {
-        /// Bits per fingerprint; must be a power of two ≥ 64.
-        bits: u32,
-    },
     /// Delta-encoded varint node lists, interned through a per-column
-    /// dictionary — exact staleness verdicts at a fraction of
-    /// [`Sorted`](FootprintMode::Sorted)'s bytes.
+    /// dictionary — exact staleness verdicts.
     Compressed,
     /// Exact varint blob for footprints of at most `bloom_above` nodes,
     /// a [`HYBRID_BLOOM_BITS`]-bit bloom fingerprint above — the
@@ -91,7 +75,8 @@ pub enum FootprintMode {
     /// footprints may over-refresh).
     Hybrid {
         /// Footprints with more nodes than this are stored as bloom
-        /// fingerprints; smaller ones stay exact.
+        /// fingerprints; smaller ones stay exact. `0` fingerprints every
+        /// non-empty footprint.
         bloom_above: u32,
     },
     /// [`Compressed`](FootprintMode::Compressed) storage plus the
@@ -101,19 +86,6 @@ pub enum FootprintMode {
 }
 
 impl FootprintMode {
-    /// `u32` words one fingerprint occupies (0 unless [`Bloom`]).
-    ///
-    /// [`Bloom`]: FootprintMode::Bloom
-    pub fn bloom_words(self) -> usize {
-        match self {
-            FootprintMode::Bloom { bits } => {
-                debug_assert!(bits.is_power_of_two() && bits >= 64);
-                bits as usize / 32
-            }
-            _ => 0,
-        }
-    }
-
     /// Whether this mode retains anything.
     pub fn is_on(self) -> bool {
         self != FootprintMode::Off
@@ -125,51 +97,24 @@ impl FootprintMode {
     }
 
     /// Whether stored entries decode back to the exact node list (so an
-    /// inverted node → samples index can be built over them). Bloom
-    /// fingerprints and the hybrid tier's big-footprint entries are
-    /// one-way.
+    /// inverted node → samples index can be built over them). The hybrid
+    /// tier's big-footprint fingerprints are one-way.
     pub fn is_decodable(self) -> bool {
-        matches!(
-            self,
-            FootprintMode::Sorted | FootprintMode::Compressed | FootprintMode::Trace
-        )
-    }
-
-    /// Validates the mode's parameters (bloom width a power of two
-    /// ≥ 64), returning a human-readable complaint on violation.
-    pub fn validate(self) -> Result<(), String> {
-        if let FootprintMode::Bloom { bits } = self {
-            if !bits.is_power_of_two() || bits < 64 {
-                return Err(format!(
-                    "bloom footprint width must be a power of two ≥ 64 bits, got {bits}"
-                ));
-            }
-        }
-        Ok(())
+        matches!(self, FootprintMode::Compressed | FootprintMode::Trace)
     }
 }
 
-/// The two bit positions node `v` sets in a `bits`-bit fingerprint
-/// (SplitMix64-style mixing; the high and low halves of one mix give two
-/// decorrelated hashes).
+/// The two bit positions node `v` sets in a [`HYBRID_BLOOM_BITS`]-bit
+/// fingerprint (SplitMix64-style mixing; the high and low halves of one
+/// mix give two decorrelated hashes).
 #[inline]
-fn bloom_positions(v: u32, bits: u32) -> (u32, u32) {
+fn bloom_positions(v: u32) -> (u32, u32) {
     let mut z = (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5_4A32_D192_ED03;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
-    let mask = bits - 1;
+    let mask = HYBRID_BLOOM_BITS - 1;
     (z as u32 & mask, (z >> 32) as u32 & mask)
-}
-
-#[inline]
-fn set_bit(words: &mut [u32], bit: u32) {
-    words[(bit / 32) as usize] |= 1 << (bit % 32);
-}
-
-#[inline]
-fn test_bit(words: &[u32], bit: u32) -> bool {
-    words[(bit / 32) as usize] >> (bit % 32) & 1 == 1
 }
 
 #[inline]
@@ -251,8 +196,8 @@ fn blob_hash(bytes: &[u8]) -> u64 {
 
 /// A flat column of per-sample footprints.
 ///
-/// `PartialEq` compares the raw storage (mode, offsets, data,
-/// dictionary, traces), so two populated columns are equal iff they are
+/// `PartialEq` compares the raw storage (mode, entries, dictionary,
+/// traces), so two populated columns are equal iff they are
 /// byte-equal — the same contract as [`PrrArena`](crate::PrrArena); the
 /// interner (a derived acceleration structure over the dictionary) is
 /// excluded. Two *empty* columns are always equal: a latent mode with
@@ -262,19 +207,13 @@ fn blob_hash(bytes: &[u8]) -> u64 {
 #[derive(Clone, Debug, Default, Eq)]
 pub struct FootprintColumn {
     mode: FootprintMode,
-    /// [`FootprintMode::Sorted`]: `count + 1` offsets into `data`
-    /// (empty ⇔ no entries). Unused (empty) in bloom mode, where every
-    /// fingerprint has the fixed stride [`FootprintMode::bloom_words`].
-    off: Vec<u32>,
-    /// Concatenated sorted node lists, or concatenated bloom words.
-    data: Vec<u32>,
-    /// Compressed modes: one dictionary reference per entry; the top bit
-    /// ([`TAG_BLOOM`]) marks hybrid bloom-tier entries.
+    /// One dictionary reference per entry; the top bit ([`TAG_BLOOM`])
+    /// marks hybrid bloom-tier entries.
     ent: Vec<u32>,
-    /// Compressed modes: `dicts + 1` byte offsets into `dict`.
+    /// `dicts + 1` byte offsets into `dict`.
     dict_off: Vec<u32>,
-    /// Compressed modes: concatenated distinct blobs (varint node lists
-    /// and/or bloom fingerprints), each stored once.
+    /// Concatenated distinct blobs (varint node lists and/or bloom
+    /// fingerprints), each stored once.
     dict: Vec<u8>,
     /// [`FootprintMode::Trace`]: `count + 1` byte offsets into `tdata`.
     toff: Vec<u32>,
@@ -304,14 +243,7 @@ impl FootprintColumn {
 
     /// Number of footprints stored.
     pub fn count(&self) -> usize {
-        match self.mode {
-            FootprintMode::Off => 0,
-            FootprintMode::Sorted => self.off.len().saturating_sub(1),
-            FootprintMode::Bloom { .. } => self.data.len() / self.mode.bloom_words().max(1),
-            FootprintMode::Compressed | FootprintMode::Hybrid { .. } | FootprintMode::Trace => {
-                self.ent.len()
-            }
-        }
+        self.ent.len()
     }
 
     /// Establishes `mode` on a still-empty column; asserts agreement on a
@@ -360,8 +292,8 @@ impl FootprintColumn {
         id
     }
 
-    /// Encodes `nodes` per the compressed mode and appends the entry.
-    /// `Trace` entries get an empty trace; use
+    /// Encodes `nodes` per the mode and appends the entry. `Trace`
+    /// entries get an empty trace; use
     /// [`push_with_trace`](Self::push_with_trace) to attach one.
     fn push_compressed(&mut self, nodes: &[u32]) {
         let mut blob = std::mem::take(&mut self.enc);
@@ -371,7 +303,7 @@ impl FootprintColumn {
             FootprintMode::Hybrid { bloom_above } if nodes.len() > bloom_above as usize => {
                 blob.resize(HYBRID_BLOOM_BITS as usize / 8, 0);
                 for &v in nodes {
-                    let (a, b) = bloom_positions(v, HYBRID_BLOOM_BITS);
+                    let (a, b) = bloom_positions(v);
                     set_bit_byte(&mut blob, a);
                     set_bit_byte(&mut blob, b);
                 }
@@ -385,34 +317,13 @@ impl FootprintColumn {
     }
 
     /// Appends one footprint. `nodes` must be sorted and deduplicated
-    /// (the canonical form phase-I capture produces); bloom mode folds
-    /// them into a fresh fingerprint, the compressed modes delta-encode
-    /// and intern them.
+    /// (the canonical form phase-I capture produces); they are
+    /// delta-encoded (or, in the hybrid tier's long tail, folded into a
+    /// fingerprint) and interned.
     pub fn push(&mut self, nodes: &[u32]) {
         debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "unsorted footprint");
         match self.mode {
             FootprintMode::Off => {}
-            FootprintMode::Sorted => {
-                if self.off.is_empty() {
-                    self.off.push(0);
-                }
-                assert!(
-                    self.data.len() as u64 + nodes.len() as u64 <= u32::MAX as u64,
-                    "footprint column exceeds the u32 offset cap"
-                );
-                self.data.extend_from_slice(nodes);
-                self.off.push(self.data.len() as u32);
-            }
-            FootprintMode::Bloom { bits } => {
-                let words = self.mode.bloom_words();
-                let base = self.data.len();
-                self.data.resize(base + words, 0);
-                for &v in nodes {
-                    let (a, b) = bloom_positions(v, bits);
-                    set_bit(&mut self.data[base..], a);
-                    set_bit(&mut self.data[base..], b);
-                }
-            }
             FootprintMode::Compressed | FootprintMode::Hybrid { .. } => {
                 self.push_compressed(nodes);
             }
@@ -442,21 +353,7 @@ impl FootprintColumn {
         self.toff.push(self.tdata.len() as u32);
     }
 
-    /// The sorted node list of footprint `i` ([`FootprintMode::Sorted`]
-    /// only; `None` in the encoded modes — use
-    /// [`for_each_node`](Self::for_each_node) to decode).
-    pub fn nodes(&self, i: usize) -> Option<&[u32]> {
-        match self.mode {
-            FootprintMode::Sorted => {
-                let (lo, hi) = (self.off[i] as usize, self.off[i + 1] as usize);
-                Some(&self.data[lo..hi])
-            }
-            _ => None,
-        }
-    }
-
-    /// Entry `i`'s dictionary blob and its bloom-tier tag (compressed
-    /// modes only).
+    /// Entry `i`'s dictionary blob and its bloom-tier tag.
     fn blob(&self, i: usize) -> (&[u8], bool) {
         let e = self.ent[i];
         let id = (e & !TAG_BLOOM) as usize;
@@ -464,26 +361,21 @@ impl FootprintColumn {
         (&self.dict[lo..hi], e & TAG_BLOOM != 0)
     }
 
+    /// Whether footprint `i` is stored as a one-way bloom fingerprint
+    /// (a long footprint under [`FootprintMode::Hybrid`]); `false` in
+    /// every other mode.
+    pub fn is_fingerprint(&self, i: usize) -> bool {
+        self.mode.is_on() && self.blob(i).1
+    }
+
     /// Calls `emit` with every node of footprint `i` in sorted order.
     /// Supported for the decodable modes
-    /// ([`FootprintMode::is_decodable`]); panics on one-way storage
-    /// (bloom fingerprints, hybrid bloom-tier entries).
-    pub fn for_each_node(&self, i: usize, mut emit: impl FnMut(u32)) {
-        match self.mode {
-            FootprintMode::Sorted => {
-                for &v in self.nodes(i).expect("sorted mode") {
-                    emit(v);
-                }
-            }
-            FootprintMode::Compressed | FootprintMode::Trace | FootprintMode::Hybrid { .. } => {
-                let (blob, is_bloom) = self.blob(i);
-                assert!(!is_bloom, "bloom-tier hybrid entry has no node list");
-                decode_deltas(blob, emit);
-            }
-            FootprintMode::Off | FootprintMode::Bloom { .. } => {
-                panic!("footprint mode retains no decodable node list")
-            }
-        }
+    /// ([`FootprintMode::is_decodable`]) and the hybrid tier's short
+    /// entries; panics on a bloom fingerprint.
+    pub fn for_each_node(&self, i: usize, emit: impl FnMut(u32)) {
+        let (blob, is_bloom) = self.blob(i);
+        assert!(!is_bloom, "bloom-tier hybrid entry has no node list");
+        decode_deltas(blob, emit);
     }
 
     /// The trace sidecar of footprint `i` (empty unless
@@ -506,49 +398,28 @@ impl FootprintColumn {
             return;
         }
         self.ensure_mode(later.mode);
-        match self.mode {
-            FootprintMode::Off => {}
-            FootprintMode::Sorted => {
-                if self.off.is_empty() {
-                    self.off.push(0);
-                }
-                assert!(
-                    self.data.len() as u64 + later.data.len() as u64 <= u32::MAX as u64,
-                    "footprint column exceeds the u32 offset cap"
-                );
-                let base = self.data.len() as u32;
-                self.data.extend_from_slice(&later.data);
-                self.off.extend(later.off[1..].iter().map(|&o| o + base));
+        if self.count() == 0 {
+            // Wholesale adoption: `later` is itself canonical, so cloning
+            // it is byte-identical to re-interning entry by entry.
+            *self = later.clone();
+            return;
+        }
+        for i in 0..later.count() {
+            let (blob, is_bloom) = later.blob(i);
+            let id = self.intern(blob);
+            self.ent.push(id | if is_bloom { TAG_BLOOM } else { 0 });
+        }
+        if self.mode == FootprintMode::Trace {
+            if self.toff.is_empty() {
+                self.toff.push(0);
             }
-            FootprintMode::Bloom { .. } => {
-                self.data.extend_from_slice(&later.data);
-            }
-            FootprintMode::Compressed | FootprintMode::Hybrid { .. } | FootprintMode::Trace => {
-                if self.count() == 0 {
-                    // Wholesale adoption: `later` is itself canonical, so
-                    // cloning it is byte-identical to re-interning entry
-                    // by entry.
-                    *self = later.clone();
-                    return;
-                }
-                for i in 0..later.count() {
-                    let (blob, is_bloom) = later.blob(i);
-                    let id = self.intern(blob);
-                    self.ent.push(id | if is_bloom { TAG_BLOOM } else { 0 });
-                }
-                if self.mode == FootprintMode::Trace {
-                    if self.toff.is_empty() {
-                        self.toff.push(0);
-                    }
-                    assert!(
-                        self.tdata.len() as u64 + later.tdata.len() as u64 <= u32::MAX as u64,
-                        "trace sidecar exceeds the u32 offset cap"
-                    );
-                    let base = self.tdata.len() as u32;
-                    self.tdata.extend_from_slice(&later.tdata);
-                    self.toff.extend(later.toff[1..].iter().map(|&o| o + base));
-                }
-            }
+            assert!(
+                self.tdata.len() as u64 + later.tdata.len() as u64 <= u32::MAX as u64,
+                "trace sidecar exceeds the u32 offset cap"
+            );
+            let base = self.tdata.len() as u32;
+            self.tdata.extend_from_slice(&later.tdata);
+            self.toff.extend(later.toff[1..].iter().map(|&o| o + base));
         }
     }
 
@@ -558,41 +429,20 @@ impl FootprintColumn {
     /// rebuilt over the survivors).
     pub fn compacted(&self, keep: impl Fn(usize) -> bool) -> FootprintColumn {
         let mut out = FootprintColumn::new(self.mode);
-        match self.mode {
-            FootprintMode::Off => {}
-            FootprintMode::Sorted => {
-                for i in 0..self.count() {
-                    if keep(i) {
-                        out.push(self.nodes(i).expect("sorted mode"));
+        for i in 0..self.count() {
+            if keep(i) {
+                let (blob, is_bloom) = self.blob(i);
+                // Survivor blobs are already in canonical encoded form;
+                // re-interning them directly equals re-encoding the
+                // survivor's nodes.
+                let id = out.intern(blob);
+                out.ent.push(id | if is_bloom { TAG_BLOOM } else { 0 });
+                if self.mode == FootprintMode::Trace {
+                    if out.toff.is_empty() {
+                        out.toff.push(0);
                     }
-                }
-            }
-            FootprintMode::Bloom { .. } => {
-                let words = self.mode.bloom_words();
-                for i in 0..self.count() {
-                    if keep(i) {
-                        out.data
-                            .extend_from_slice(&self.data[i * words..(i + 1) * words]);
-                    }
-                }
-            }
-            FootprintMode::Compressed | FootprintMode::Hybrid { .. } | FootprintMode::Trace => {
-                for i in 0..self.count() {
-                    if keep(i) {
-                        let (blob, is_bloom) = self.blob(i);
-                        // Survivor blobs are already in canonical encoded
-                        // form; re-interning them directly equals
-                        // re-encoding the survivor's nodes.
-                        let id = out.intern(blob);
-                        out.ent.push(id | if is_bloom { TAG_BLOOM } else { 0 });
-                        if self.mode == FootprintMode::Trace {
-                            if out.toff.is_empty() {
-                                out.toff.push(0);
-                            }
-                            out.tdata.extend_from_slice(self.trace(i));
-                            out.toff.push(out.tdata.len() as u32);
-                        }
-                    }
+                    out.tdata.extend_from_slice(self.trace(i));
+                    out.toff.push(out.tdata.len() as u32);
                 }
             }
         }
@@ -606,55 +456,35 @@ impl FootprintColumn {
     }
 
     /// Whether footprint `i` matches the query — i.e. the sample whose
-    /// footprint this is must be refreshed. Never under-detects; the
-    /// bloom tiers may over-detect.
+    /// footprint this is must be refreshed. Never under-detects; a
+    /// hybrid fingerprint may over-detect.
     pub fn matches(&self, q: &FootprintQuery, i: usize) -> bool {
-        match self.mode {
-            FootprintMode::Off => false,
-            FootprintMode::Sorted => self
-                .nodes(i)
-                .expect("sorted mode")
+        let (blob, is_bloom) = self.blob(i);
+        if is_bloom {
+            q.probes
                 .iter()
-                .any(|&v| q.touched[v as usize]),
-            FootprintMode::Bloom { .. } => {
-                let words = self.mode.bloom_words();
-                let fp = &self.data[i * words..(i + 1) * words];
-                q.probes
-                    .iter()
-                    .any(|&(a, b)| test_bit(fp, a) && test_bit(fp, b))
-            }
-            FootprintMode::Compressed | FootprintMode::Hybrid { .. } | FootprintMode::Trace => {
-                let (blob, is_bloom) = self.blob(i);
-                if is_bloom {
-                    q.probes
-                        .iter()
-                        .any(|&(a, b)| test_bit_byte(blob, a) && test_bit_byte(blob, b))
-                } else {
-                    let mut hit = false;
-                    decode_deltas(blob, |v| hit |= q.touched[v as usize]);
-                    hit
-                }
-            }
+                .any(|&(a, b)| test_bit_byte(blob, a) && test_bit_byte(blob, b))
+        } else {
+            let mut hit = false;
+            decode_deltas(blob, |v| hit |= q.touched[v as usize]);
+            hit
         }
     }
 
     /// The staleness verdict the arena-resident column of `mode` would
     /// give a raw footprint `nodes` — the replay oracle uses this so the
-    /// bloom tiers' false positives reproduce bit-for-bit.
+    /// hybrid fingerprints' false positives reproduce bit-for-bit.
     pub fn raw_matches(mode: FootprintMode, nodes: &[u32], q: &FootprintQuery) -> bool {
         match mode {
             FootprintMode::Off => false,
-            FootprintMode::Sorted | FootprintMode::Compressed | FootprintMode::Trace => {
-                nodes.iter().any(|&v| q.touched[v as usize])
-            }
-            FootprintMode::Bloom { bits } => {
+            FootprintMode::Hybrid { bloom_above } if nodes.len() > bloom_above as usize => {
                 // Exactly the stored-fingerprint test: a probe pair hits
                 // iff both its bits are set by some inserted node.
                 q.probes.iter().any(|&(a, b)| {
                     let mut hit_a = false;
                     let mut hit_b = false;
                     for &v in nodes {
-                        let (x, y) = bloom_positions(v, bits);
+                        let (x, y) = bloom_positions(v);
                         hit_a |= x == a || y == a;
                         hit_b |= x == b || y == b;
                         if hit_a && hit_b {
@@ -664,24 +494,8 @@ impl FootprintColumn {
                     false
                 })
             }
-            FootprintMode::Hybrid { bloom_above } => {
-                if nodes.len() <= bloom_above as usize {
-                    nodes.iter().any(|&v| q.touched[v as usize])
-                } else {
-                    q.probes.iter().any(|&(a, b)| {
-                        let mut hit_a = false;
-                        let mut hit_b = false;
-                        for &v in nodes {
-                            let (x, y) = bloom_positions(v, HYBRID_BLOOM_BITS);
-                            hit_a |= x == a || y == a;
-                            hit_b |= x == b || y == b;
-                            if hit_a && hit_b {
-                                return true;
-                            }
-                        }
-                        false
-                    })
-                }
+            FootprintMode::Compressed | FootprintMode::Hybrid { .. } | FootprintMode::Trace => {
+                nodes.iter().any(|&v| q.touched[v as usize])
             }
         }
     }
@@ -689,8 +503,7 @@ impl FootprintColumn {
     /// Approximate heap bytes of the column (the interner is estimated,
     /// not measured).
     pub fn memory_bytes(&self) -> usize {
-        (self.off.len() + self.data.len() + self.ent.len() + self.dict_off.len() + self.toff.len())
-            * size_of::<u32>()
+        (self.ent.len() + self.dict_off.len() + self.toff.len()) * size_of::<u32>()
             + self.dict.len()
             + self.tdata.len()
             + self.dict_off.len().saturating_sub(1) * INTERNER_BYTES_PER_BLOB
@@ -700,61 +513,37 @@ impl FootprintColumn {
     /// `keep(i)` would occupy — what [`memory_bytes`](Self::memory_bytes)
     /// reports right after [`compacted`](Self::compacted).
     pub fn live_memory_bytes(&self, keep: impl Fn(usize) -> bool) -> usize {
-        match self.mode {
-            FootprintMode::Off => 0,
-            FootprintMode::Sorted => {
-                let mut kept = 0usize;
-                let mut data = 0usize;
-                for i in 0..self.count() {
-                    if keep(i) {
-                        kept += 1;
-                        data += self.nodes(i).expect("sorted mode").len();
-                    }
-                }
-                if kept == 0 {
-                    0
-                } else {
-                    (data + kept + 1) * size_of::<u32>()
-                }
-            }
-            FootprintMode::Bloom { .. } => {
-                let words = self.mode.bloom_words();
-                (0..self.count()).filter(|&i| keep(i)).count() * words * size_of::<u32>()
-            }
-            FootprintMode::Compressed | FootprintMode::Hybrid { .. } | FootprintMode::Trace => {
-                let dicts = self.dict_off.len().saturating_sub(1);
-                let mut live_dict = vec![false; dicts];
-                let mut kept = 0usize;
-                let mut trace_bytes = 0usize;
-                for i in 0..self.count() {
-                    if keep(i) {
-                        kept += 1;
-                        live_dict[(self.ent[i] & !TAG_BLOOM) as usize] = true;
-                        trace_bytes += self.trace(i).len();
-                    }
-                }
-                if kept == 0 {
-                    return 0;
-                }
-                let mut dict_bytes = 0usize;
-                let mut live_blobs = 0usize;
-                for (id, &live) in live_dict.iter().enumerate() {
-                    if live {
-                        live_blobs += 1;
-                        dict_bytes += (self.dict_off[id + 1] - self.dict_off[id]) as usize;
-                    }
-                }
-                let trace_off = if self.mode == FootprintMode::Trace {
-                    kept + 1
-                } else {
-                    0
-                };
-                (kept + live_blobs + 1 + trace_off) * size_of::<u32>()
-                    + dict_bytes
-                    + trace_bytes
-                    + live_blobs * INTERNER_BYTES_PER_BLOB
+        let dicts = self.dict_off.len().saturating_sub(1);
+        let mut live_dict = vec![false; dicts];
+        let mut kept = 0usize;
+        let mut trace_bytes = 0usize;
+        for i in 0..self.count() {
+            if keep(i) {
+                kept += 1;
+                live_dict[(self.ent[i] & !TAG_BLOOM) as usize] = true;
+                trace_bytes += self.trace(i).len();
             }
         }
+        if kept == 0 {
+            return 0;
+        }
+        let mut dict_bytes = 0usize;
+        let mut live_blobs = 0usize;
+        for (id, &live) in live_dict.iter().enumerate() {
+            if live {
+                live_blobs += 1;
+                dict_bytes += (self.dict_off[id + 1] - self.dict_off[id]) as usize;
+            }
+        }
+        let trace_off = if self.mode == FootprintMode::Trace {
+            kept + 1
+        } else {
+            0
+        };
+        (kept + live_blobs + 1 + trace_off) * size_of::<u32>()
+            + dict_bytes
+            + trace_bytes
+            + live_blobs * INTERNER_BYTES_PER_BLOB
     }
 }
 
@@ -769,8 +558,6 @@ impl PartialEq for FootprintColumn {
             return true;
         }
         self.mode == other.mode
-            && self.off == other.off
-            && self.data == other.data
             && self.ent == other.ent
             && self.dict_off == other.dict_off
             && self.dict == other.dict
@@ -781,10 +568,10 @@ impl PartialEq for FootprintColumn {
 
 /// A prepared staleness query (see [`FootprintColumn::query`]).
 pub struct FootprintQuery {
-    /// Exact modes: touched-head flags over the node universe.
+    /// Touched-head flags over the node universe (exact entries).
     touched: Vec<bool>,
-    /// Bloom tiers: the bit-position pair of every touched head (at the
-    /// mode's fingerprint width — [`HYBRID_BLOOM_BITS`] for hybrid).
+    /// Hybrid tier: the fingerprint bit-position pair of every touched
+    /// head.
     probes: Vec<(u32, u32)>,
 }
 
@@ -796,29 +583,19 @@ impl FootprintQuery {
             touched: Vec::new(),
             probes: Vec::new(),
         };
-        let touch = |q: &mut FootprintQuery| {
-            q.touched = vec![false; n];
-            for &h in heads {
-                q.touched[h as usize] = true;
-            }
-        };
-        let probe = |q: &mut FootprintQuery, bits: u32| {
-            q.probes = heads.iter().map(|&h| bloom_positions(h, bits)).collect();
+        if !mode.is_on() {
+            return q;
+        }
+        q.touched = vec![false; n];
+        for &h in heads {
+            q.touched[h as usize] = true;
+        }
+        if let FootprintMode::Hybrid { .. } = mode {
+            // Hybrid entries split per sample, so the query carries both
+            // forms.
+            q.probes = heads.iter().map(|&h| bloom_positions(h)).collect();
             q.probes.sort_unstable();
             q.probes.dedup();
-        };
-        match mode {
-            FootprintMode::Off => {}
-            FootprintMode::Sorted | FootprintMode::Compressed | FootprintMode::Trace => {
-                touch(&mut q)
-            }
-            FootprintMode::Bloom { bits } => probe(&mut q, bits),
-            FootprintMode::Hybrid { .. } => {
-                // Hybrid entries split per sample, so the query carries
-                // both forms.
-                touch(&mut q);
-                probe(&mut q, HYBRID_BLOOM_BITS);
-            }
         }
         q
     }
@@ -828,36 +605,13 @@ impl FootprintQuery {
 mod tests {
     use super::*;
 
-    /// Every mode a column can be stamped with (bloom widths picked
-    /// small so false positives actually occur in tests).
+    /// Every mode a column can be stamped with.
     fn all_on_modes() -> Vec<FootprintMode> {
         vec![
-            FootprintMode::Sorted,
-            FootprintMode::Bloom { bits: 64 },
             FootprintMode::Compressed,
             FootprintMode::Hybrid { bloom_above: 2 },
             FootprintMode::Trace,
         ]
-    }
-
-    #[test]
-    fn sorted_roundtrip_and_matches() {
-        let mut col = FootprintColumn::new(FootprintMode::Sorted);
-        col.push(&[1, 4, 7]);
-        col.push(&[]);
-        col.push(&[0, 9]);
-        assert_eq!(col.count(), 3);
-        assert_eq!(col.nodes(0), Some(&[1u32, 4, 7][..]));
-        assert_eq!(col.nodes(1), Some(&[][..]));
-        let q = col.query(&[4], 10);
-        assert!(col.matches(&q, 0));
-        assert!(!col.matches(&q, 1));
-        assert!(!col.matches(&q, 2));
-        assert!(FootprintColumn::raw_matches(
-            FootprintMode::Sorted,
-            &[1, 4, 7],
-            &q
-        ));
     }
 
     #[test]
@@ -883,13 +637,10 @@ mod tests {
             col.matches(&q, 0),
             FootprintColumn::raw_matches(FootprintMode::Compressed, &shared, &q)
         );
-        // Interning beats four raw copies.
-        let mut sorted = FootprintColumn::new(FootprintMode::Sorted);
-        for _ in 0..3 {
-            sorted.push(&shared);
-        }
-        sorted.push(&[5]);
-        assert!(col.memory_bytes() < sorted.memory_bytes());
+        // Interning beats four raw copies: a sorted `u32` column of the
+        // same entries holds 4 × (Σ lengths + entries + 1) bytes.
+        let sorted_bytes = (3 * shared.len() + 1 + 4 + 1) * size_of::<u32>();
+        assert!(col.memory_bytes() < sorted_bytes);
     }
 
     #[test]
@@ -900,8 +651,11 @@ mod tests {
         let big: Vec<u32> = (0..40).map(|i| i * 7 + 3).collect();
         col.push(&small);
         col.push(&big);
-        assert!(!col.blob(0).1, "small footprint stays exact");
-        assert!(col.blob(1).1, "big footprint goes to the bloom tier");
+        assert!(!col.is_fingerprint(0), "small footprint stays exact");
+        assert!(
+            col.is_fingerprint(1),
+            "big footprint goes to the bloom tier"
+        );
         for &m in small.iter().chain(big.iter()) {
             let q = col.query(&[m], 300);
             let in_small = small.contains(&m);
@@ -972,12 +726,14 @@ mod tests {
 
     #[test]
     fn bloom_never_under_detects() {
-        let mode = FootprintMode::Bloom { bits: 128 };
+        // `bloom_above: 0` fingerprints every non-empty footprint.
+        let mode = FootprintMode::Hybrid { bloom_above: 0 };
         let mut col = FootprintColumn::new(mode);
         for i in 0..50u32 {
             col.push(&[i, i + 100, i + 200]);
         }
         assert_eq!(col.count(), 50);
+        assert!((0..50).all(|i| col.is_fingerprint(i)));
         for i in 0..50u32 {
             for member in [i, i + 100, i + 200] {
                 let q = col.query(&[member], 300);
@@ -989,7 +745,7 @@ mod tests {
                 );
             }
         }
-        // Non-members mostly miss (128-bit filter, 3 entries): the raw
+        // Non-members mostly miss (3 entries per fingerprint): the raw
         // and stored verdicts must still agree bit-for-bit.
         for probe in 500..600u32 {
             let q = col.query(&[probe], 1000);
@@ -1060,23 +816,82 @@ mod tests {
     }
 
     #[test]
-    fn mode_validation() {
-        assert!(FootprintMode::Off.validate().is_ok());
-        assert!(FootprintMode::Sorted.validate().is_ok());
-        assert!(FootprintMode::Bloom { bits: 256 }.validate().is_ok());
-        assert!(FootprintMode::Bloom { bits: 48 }.validate().is_err());
-        assert!(FootprintMode::Bloom { bits: 0 }.validate().is_err());
-        assert!(FootprintMode::Compressed.validate().is_ok());
-        assert!(FootprintMode::Hybrid { bloom_above: 0 }.validate().is_ok());
-        assert!(FootprintMode::Trace.validate().is_ok());
+    fn column_bytes_digest_is_pinned() {
+        // A fixed entry list — short and long footprints, empties,
+        // repeats for the interner, per-entry traces — pushed into three
+        // chunk columns, absorbed in order, then compacted. Every storage
+        // field of both results folds into one FNV-1a digest per mode;
+        // the constants pin the byte layout.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        };
+        let mut entries: Vec<(Vec<u32>, Vec<u8>)> = Vec::new();
+        for i in 0..60usize {
+            if i % 7 == 6 {
+                let again = entries[next(i as u64) as usize].clone();
+                entries.push(again);
+                continue;
+            }
+            let len = if i % 5 == 0 { 20 + next(30) } else { next(7) };
+            let mut nodes: Vec<u32> = (0..len).map(|_| next(5_000) as u32).collect();
+            nodes.sort_unstable();
+            nodes.dedup();
+            let trace: Vec<u8> = (0..next(6)).map(|_| next(256) as u8).collect();
+            entries.push((nodes, trace));
+        }
+        let digest = |mode: FootprintMode| {
+            let mut merged = FootprintColumn::default();
+            for chunk in [&entries[..17], &entries[17..40], &entries[40..]] {
+                let mut col = FootprintColumn::new(mode);
+                for (nodes, trace) in chunk {
+                    if mode == FootprintMode::Trace {
+                        col.push_with_trace(nodes, trace);
+                    } else {
+                        col.push(nodes);
+                    }
+                }
+                merged.absorb(&col);
+            }
+            let compacted = merged.compacted(|i| i % 3 != 1);
+            let mut h = 0xCBF2_9CE4_8422_2325u64;
+            let mut fold = |bytes: &[u8]| {
+                for &b in bytes {
+                    h ^= b as u64;
+                    h = h.wrapping_mul(0x0000_0100_0000_01B3);
+                }
+            };
+            for col in [&merged, &compacted] {
+                for words in [&col.ent, &col.dict_off] {
+                    fold(&(words.len() as u64).to_le_bytes());
+                    words.iter().for_each(|w| fold(&w.to_le_bytes()));
+                }
+                fold(&(col.dict.len() as u64).to_le_bytes());
+                fold(&col.dict);
+                fold(&(col.toff.len() as u64).to_le_bytes());
+                col.toff.iter().for_each(|w| fold(&w.to_le_bytes()));
+                fold(&(col.tdata.len() as u64).to_le_bytes());
+                fold(&col.tdata);
+            }
+            h
+        };
+        assert_eq!(digest(FootprintMode::Compressed), 0x4216_c273_dd81_8583);
+        assert_eq!(
+            digest(FootprintMode::Hybrid { bloom_above: 4 }),
+            0x333a_8c17_62f7_5a7e
+        );
+        assert_eq!(digest(FootprintMode::Trace), 0x7b2e_490a_2e9f_bacf);
     }
 
     #[test]
     #[should_panic(expected = "mode changed")]
     fn mode_change_on_populated_column_panics() {
-        let mut col = FootprintColumn::new(FootprintMode::Sorted);
+        let mut col = FootprintColumn::new(FootprintMode::Compressed);
         col.push(&[1]);
-        col.ensure_mode(FootprintMode::Bloom { bits: 64 });
+        col.ensure_mode(FootprintMode::Trace);
     }
 
     #[test]

@@ -32,10 +32,10 @@
 //!   and order-preserving compaction so the online maintainer
 //!   (`kboost-online`) can retire stale graphs in place.
 //! * [`footprint`] — per-sample *edge-space footprints* (the expanded-node
-//!   set of phase I) retained as flat [`FootprintColumn`]s — sorted lists,
-//!   fixed-size bloom fingerprints, delta-varint compressed blobs with an
-//!   interning dictionary, a hybrid exact-below / bloom-above split, or
-//!   the trace-retaining tier that additionally stores each sample's
+//!   set of phase I) retained as flat [`FootprintColumn`]s —
+//!   delta-varint compressed blobs with an interning dictionary, a
+//!   hybrid exact-below / bloom-above split, or the trace-retaining
+//!   tier that additionally stores each sample's
 //!   queried-edge outcomes for conditional replay — for the online
 //!   subsystem's exact staleness detection. Stored graphs and *empty*
 //!   samples both carry one, so no sample is ever silently unrefreshable.

@@ -68,9 +68,9 @@ fn main() {
         seeds.len()
     );
 
-    // Online mode (fixed-size sampling + shard pipeline) is what makes a
-    // serving cell possible: the maintainer owns the pool and publishes
-    // a snapshot per committed epoch.
+    // Online mode (fixed-size sampling) is what makes a serving cell
+    // possible: the maintainer owns the pool and publishes a snapshot per
+    // committed epoch.
     let recorder = Arc::new(MetricsRecorder::new());
     let mut engine = EngineBuilder::new(g.clone())
         .seeds(seeds)

@@ -183,18 +183,16 @@
 //!   marks a stored sample stale iff a mutated edge's endpoint appears
 //!   in its node table — zero memory overhead, but samples whose
 //!   phase-I footprint was compressed away, and empty samples, are
-//!   never refreshed (documented under-detection). `Exact` retains each
-//!   sample's *edge-space footprint* ([`prr::footprint`]) — the sorted
-//!   set of nodes whose in-edge lists the sampler enumerated — for
+//!   never refreshed (documented under-detection). The exact rules
+//!   retain each sample's *edge-space footprint* ([`prr::footprint`]) —
+//!   the set of nodes whose in-edge lists the sampler enumerated — for
 //!   stored **and** empty samples, so a mutation of edge `(u, v)`
 //!   invalidates exactly the samples whose generation queried `v`'s
-//!   in-edge slot. Three tiers trade footprint memory against verdict
+//!   in-edge slot. Two tiers trade footprint memory against verdict
 //!   precision: `ExactCompressed` interns delta-varint footprints
-//!   (exact verdicts, strictly below sorted bytes at scale);
-//!   `ExactBloom { bits }` stores fixed-width bloom fingerprints
-//!   (never misses, may over-refresh); `ExactHybrid { bloom_above }`
-//!   keeps small footprints compressed and fingerprints only the heavy
-//!   tail. `ExactTrace` additionally retains phase-I coin outcomes and
+//!   (exact verdicts); `ExactHybrid { bloom_above }` keeps small
+//!   footprints compressed and fingerprints only the heavy tail (never
+//!   misses, may over-refresh). `ExactTrace` additionally retains phase-I coin outcomes and
 //!   **replays** invalidated samples — reusing coins on unmutated
 //!   in-edge slots, redrawing only mutated ones — so the maintained
 //!   pool is distribution-identical to a fresh pool over the mutated

@@ -23,7 +23,7 @@
 use kboost::core::{prr_boost, BoostOptions, PrrPool};
 use kboost::engine::{
     Algorithm, BoostAlgorithm, Budget, CancelFlag, EngineBuilder, InterruptCause, KboostError,
-    MutationError, Pipeline, Sampling,
+    MutationError, Sampling,
 };
 use kboost::graph::generators::{erdos_renyi, set_cover_gadget, SetCoverInstance};
 use kboost::graph::probability::ProbabilityModel;
@@ -107,33 +107,6 @@ fn engine_prr_boost_bit_identical_to_hand_wired_pipeline() {
         assert_eq!(solution.delta_hat, Some(pool.delta_hat(&direct.selected)));
         assert_eq!(solution.mu_hat, Some(pool.mu_hat(&direct.selected)));
     }
-}
-
-/// The engine's legacy-pipeline oracle mode builds the identical arena
-/// and selection through per-graph payload copies.
-#[test]
-fn engine_legacy_pipeline_matches_shard_pipeline() {
-    let g = er_graph(80, 320, 9);
-    let seeds = [NodeId(2)];
-    let build = |pipeline| {
-        let mut engine = EngineBuilder::new(g.clone())
-            .seeds(seeds)
-            .k(2)
-            .threads(3)
-            .seed(0xFACE)
-            .sampling(Sampling::Fixed { samples: 12_000 })
-            .pipeline(pipeline)
-            .build()
-            .unwrap();
-        let sol = engine.solve(&Algorithm::PrrBoost).unwrap();
-        (engine, sol)
-    };
-    let (mut shard, shard_sol) = build(Pipeline::Shard);
-    let (mut legacy, legacy_sol) = build(Pipeline::Legacy);
-    assert!(shard.pool().unwrap().arena() == legacy.pool().unwrap().arena());
-    assert_eq!(shard_sol.boost_set, legacy_sol.boost_set);
-    // Only the legacy pipeline pays a payload→arena copy stage.
-    assert_eq!(shard_sol.stats.convert_secs, 0.0);
 }
 
 /// Full Algorithm 2 through the engine == the hand-wired `prr_boost`,
@@ -349,52 +322,22 @@ fn builder_rejects_bad_configs_with_typed_errors() {
         ),
         "compact_threshold"
     );
+    // Exact staleness off the online path (adaptive sampling) is a typed
+    // error...
     assert_eq!(
         field_of(
             EngineBuilder::new(g.clone())
                 .seeds([NodeId(0)])
-                .pipeline(Pipeline::Legacy)
-                .build()
-        ),
-        "pipeline"
-    );
-    // Exact staleness off the online path (adaptive sampling), on the
-    // legacy pipeline, or with a bad bloom width — all typed errors.
-    assert_eq!(
-        field_of(
-            EngineBuilder::new(g.clone())
-                .seeds([NodeId(0)])
-                .staleness(Staleness::Exact)
+                .staleness(Staleness::ExactCompressed)
                 .build()
         ),
         "staleness"
     );
-    assert_eq!(
-        field_of(
-            EngineBuilder::new(g.clone())
-                .seeds([NodeId(0)])
-                .sampling(Sampling::Fixed { samples: 1_000 })
-                .pipeline(Pipeline::Legacy)
-                .staleness(Staleness::Exact)
-                .build()
-        ),
-        "staleness"
-    );
-    assert_eq!(
-        field_of(
-            EngineBuilder::new(g.clone())
-                .seeds([NodeId(0)])
-                .sampling(Sampling::Fixed { samples: 1_000 })
-                .staleness(Staleness::ExactBloom { bits: 48 })
-                .build()
-        ),
-        "staleness"
-    );
-    // ...while the valid online spelling builds.
+    // ...while the online spelling builds, at any hybrid threshold.
     assert!(EngineBuilder::new(g.clone())
         .seeds([NodeId(0)])
         .sampling(Sampling::Fixed { samples: 1_000 })
-        .staleness(Staleness::ExactBloom { bits: 256 })
+        .staleness(Staleness::ExactHybrid { bloom_above: 0 })
         .build()
         .is_ok());
     // δ = n^-ℓ round-trips into a positive ℓ.

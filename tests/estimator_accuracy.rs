@@ -177,7 +177,7 @@ fn full_churn_refresh_is_statistically_fresh() {
             .threads(2)
             .seed(0xF1E1D + graph_seed)
             .sampling(Sampling::Fixed { samples: SAMPLES })
-            .staleness(Staleness::Exact)
+            .staleness(Staleness::ExactCompressed)
             .build()
             .expect("valid configuration");
         engine.pool().expect("pool built");
@@ -241,7 +241,7 @@ fn partial_churn_zero_replay_drift_but_not_distribution_fresh() {
             .build()
             .expect("valid configuration")
     };
-    let mut engine = build(&g0, Staleness::Exact, 0xF1E1D + graph_seed);
+    let mut engine = build(&g0, Staleness::ExactCompressed, 0xF1E1D + graph_seed);
 
     // Churn overlapping the probe: node 2 gains an in-edge, so most
     // samples that made boosting 2 pay off are invalidated.
@@ -278,7 +278,7 @@ fn partial_churn_zero_replay_drift_but_not_distribution_fresh() {
         threads: 2,
         base_seed: 0xF1E1D + graph_seed,
         compact_threshold: 0.25,
-        staleness: kboost::online::Staleness::Exact,
+        staleness: kboost::online::Staleness::ExactCompressed,
     };
     let (_g, replay) = kboost::online::rebuild_from_history(&g0, &seeds, &opts, &[b1, b2]);
     assert_eq!(est, replay.delta_hat(&probe), "replay drift must be zero");

@@ -2,9 +2,10 @@
 //! queries built on them:
 //!
 //! * **Round-trip / byte-canonicalization** — on arbitrary footprint
-//!   sets, every decodable column tier (sorted, compressed, trace)
-//!   decodes back to exactly what was pushed; the compressed tiers never
-//!   spend more bytes than sorted storage; and a column assembled
+//!   sets, every decodable column tier (compressed, trace) decodes back
+//!   to exactly what was pushed; compressed storage never spends more
+//!   bytes than a sorted `u32` column of the same entries (beyond the
+//!   interner's per-entry bookkeeping); and a column assembled
 //!   through the full arena lifecycle — shard pushes, chunk-order
 //!   `absorb`, tombstoning, order-preserving compaction — is
 //!   **byte-equal** to a column freshly pushed with only the survivors,
@@ -12,10 +13,10 @@
 //!   compaction, so storage history never leaks into the bytes).
 //! * **Staleness-query agreement** — over ER, preferential-attachment
 //!   and set-cover-gadget pools, every decodable exact tier answers
-//!   `stale_graphs` / `stale_empty_samples` identically to the sorted
-//!   ground truth, the fingerprint tiers (bloom, hybrid) answer with
-//!   supersets (never-miss), and every answer is invariant between 1 and
-//!   7 worker threads.
+//!   `stale_graphs` / `stale_empty_samples` identically to a ground truth
+//!   computed from plain footprint lists (the legacy oracle source, no
+//!   column code), the hybrid tier answers with supersets (never-miss),
+//!   and every answer is invariant between 1 and 7 worker threads.
 
 use kboost::graph::generators::{
     erdos_renyi, preferential_attachment, set_cover_gadget, SetCoverInstance,
@@ -23,7 +24,8 @@ use kboost::graph::generators::{
 use kboost::graph::probability::ProbabilityModel;
 use kboost::graph::{DiGraph, EdgeProbs, NodeId};
 use kboost::online::{MaintainerOptions, Mutation, PoolMaintainer, Staleness};
-use kboost::prr::{FootprintColumn, FootprintMode, FootprintQuery};
+use kboost::prr::{FootprintColumn, FootprintMode, FootprintQuery, LegacyFpSource, LegacySample};
+use kboost::rrset::sketch::SketchPool;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -32,11 +34,11 @@ use rand::{Rng, SeedableRng};
 const N: usize = 64;
 
 /// Every storage mode a column can run in (Off excluded: it stores
-/// nothing and has nothing to round-trip).
-const MODES: [FootprintMode; 5] = [
-    FootprintMode::Sorted,
-    FootprintMode::Bloom { bits: 128 },
+/// nothing and has nothing to round-trip). `bloom_above: 0` fingerprints
+/// every non-empty footprint.
+const MODES: [FootprintMode; 4] = [
     FootprintMode::Compressed,
+    FootprintMode::Hybrid { bloom_above: 0 },
     FootprintMode::Hybrid { bloom_above: 4 },
     FootprintMode::Trace,
 ];
@@ -61,6 +63,16 @@ fn fake_trace(i: usize, nodes: &[u32]) -> Vec<u8> {
     t
 }
 
+/// Bytes a sorted `u32` column holding `entries` would occupy:
+/// `count + 1` offsets plus every node (nothing when empty).
+fn sorted_bytes(entries: &[Vec<u32>]) -> usize {
+    if entries.is_empty() {
+        return 0;
+    }
+    let nodes: usize = entries.iter().map(Vec::len).sum();
+    (nodes + entries.len() + 1) * std::mem::size_of::<u32>()
+}
+
 /// Builds a column of `mode` holding `entries`, traces attached in trace
 /// mode.
 fn build_column(mode: FootprintMode, entries: &[Vec<u32>]) -> FootprintColumn {
@@ -82,8 +94,7 @@ proptest! {
     /// exceeds sorted storage; trace sidecars come back verbatim.
     #[test]
     fn decodable_columns_round_trip_and_compress(entries in footprints()) {
-        let sorted = build_column(FootprintMode::Sorted, &entries);
-        for mode in [FootprintMode::Sorted, FootprintMode::Compressed, FootprintMode::Trace] {
+        for mode in [FootprintMode::Compressed, FootprintMode::Trace] {
             let col = build_column(mode, &entries);
             prop_assert_eq!(col.count(), entries.len());
             for (i, nodes) in entries.iter().enumerate() {
@@ -102,10 +113,10 @@ proptest! {
         // at realistic scale is `compression_wins_at_scale` below.
         let compressed = build_column(FootprintMode::Compressed, &entries);
         prop_assert!(
-            compressed.memory_bytes() <= sorted.memory_bytes() + 36 * entries.len() + 16,
+            compressed.memory_bytes() <= sorted_bytes(&entries) + 36 * entries.len() + 16,
             "compressed ({}) exceeds sorted ({}) by more than per-entry bookkeeping",
             compressed.memory_bytes(),
-            sorted.memory_bytes()
+            sorted_bytes(&entries)
         );
     }
 
@@ -215,13 +226,12 @@ fn compression_wins_at_scale() {
     let entries: Vec<Vec<u32>> = (0..1500)
         .map(|_| unique[rng.random_range(0..unique.len())].clone())
         .collect();
-    let sorted = build_column(FootprintMode::Sorted, &entries);
     let compressed = build_column(FootprintMode::Compressed, &entries);
     assert!(
-        compressed.memory_bytes() < sorted.memory_bytes() / 4,
+        compressed.memory_bytes() < sorted_bytes(&entries) / 4,
         "interned column ({}) should be far below sorted ({}) at scale",
         compressed.memory_bytes(),
-        sorted.memory_bytes()
+        sorted_bytes(&entries)
     );
 }
 
@@ -274,35 +284,52 @@ fn probe_batch(g: &DiGraph, seed: u64) -> Vec<Mutation> {
 }
 
 /// Staleness dry runs agree across storage tiers and thread counts on
-/// every pool family: decodable exact tiers equal the sorted ground
-/// truth exactly, fingerprint tiers return supersets, and no answer
-/// depends on the worker count.
+/// every pool family: decodable exact tiers equal the ground truth
+/// exactly, fingerprint tiers return supersets, and no answer depends on
+/// the worker count. The truth intersects plain `Vec<u32>` footprints
+/// drawn by the legacy oracle source from the same seed with the batch's
+/// edge heads: a stored sample's index is its rank among stored samples,
+/// an empty sample's its rank among empty ones.
 #[test]
 fn staleness_queries_agree_across_modes_and_threads() {
+    const SAMPLES: u64 = 800;
+    const BASE_SEED: u64 = 0xBEEF;
     let exact_tiers = [Staleness::ExactCompressed, Staleness::ExactTrace];
     let fingerprint_tiers = [
-        Staleness::ExactBloom { bits: 128 },
+        Staleness::ExactHybrid { bloom_above: 0 },
         Staleness::ExactHybrid { bloom_above: 4 },
     ];
     for (name, g) in pool_graphs() {
         let opts = |staleness: Staleness, threads: usize| MaintainerOptions {
-            target_samples: 800,
+            target_samples: SAMPLES,
             k: 2,
             threads,
-            base_seed: 0xBEEF,
+            base_seed: BASE_SEED,
             compact_threshold: 0.25,
             staleness,
         };
         let build = |staleness: Staleness, threads: usize| {
             PoolMaintainer::build(g.clone(), vec![NodeId(0)], opts(staleness, threads)).unwrap()
         };
-        let mut truth = build(Staleness::Exact, 1);
+        let mut legacy: SketchPool<Vec<LegacySample>> = SketchPool::new(BASE_SEED, 1);
+        legacy.extend_to(&LegacyFpSource::new(&g, &[NodeId(0)], 2), SAMPLES);
+        let (_, samples, _, _) = legacy.into_parts();
+        let (mut stored, mut empty): (Vec<&[u32]>, Vec<&[u32]>) = (Vec::new(), Vec::new());
+        for sample in &samples {
+            match sample {
+                LegacySample::Stored { footprint, .. } => stored.push(footprint),
+                LegacySample::Empty { footprint } => empty.push(footprint),
+            }
+        }
         for batch_seed in [1u64, 7, 42] {
             let batch = probe_batch(&g, batch_seed);
-            let want = (
-                truth.stale_graphs(&batch),
-                truth.stale_empty_samples(&batch),
-            );
+            let heads: Vec<u32> = batch.iter().map(|m| m.endpoints().1 .0).collect();
+            let stale = |footprints: &[&[u32]]| -> Vec<u32> {
+                (0..footprints.len() as u32)
+                    .filter(|&i| footprints[i as usize].iter().any(|v| heads.contains(v)))
+                    .collect()
+            };
+            let want = (stale(&stored), stale(&empty));
             assert!(
                 !want.0.is_empty() || !want.1.is_empty(),
                 "{name}: degenerate probe batch {batch_seed}"
@@ -313,7 +340,7 @@ fn staleness_queries_agree_across_modes_and_threads() {
                     assert_eq!(
                         (m.stale_graphs(&batch), m.stale_empty_samples(&batch)),
                         want,
-                        "{name}: {staleness:?}@{threads}t diverged from sorted truth"
+                        "{name}: {staleness:?}@{threads}t diverged from the footprint truth"
                     );
                 }
             }

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use kboost::engine::{
     Algorithm, EdgeProbs, Engine, EngineBuilder, EpochBatch, EpochReport, MetricsRecorder,
-    MutationLog, NodeId, Recorder, Sampling,
+    MutationLog, NodeId, Recorder, Sampling, Staleness,
 };
 use kboost::graph::generators::erdos_renyi;
 use kboost::graph::probability::{boost_probability, ProbabilityModel};
@@ -232,4 +232,55 @@ fn recorded_imm_solve_counts_its_samples_and_is_byte_identical() {
         recorded.pool().expect("pool built").arena() == noop.pool().expect("pool built").arena(),
         "arena bytes changed under recording"
     );
+}
+
+/// `online.invalidated_bloom` counts the refreshes a hybrid fingerprint
+/// caused. Under `ExactHybrid { bloom_above: 0 }` every non-empty
+/// footprint is a fingerprint (an empty one can never be stale), so the
+/// counter equals `online.invalidated`; under `ExactCompressed` no
+/// verdict comes from a fingerprint. Counting perturbs nothing: the
+/// recorded pool is byte-identical to the no-op run.
+#[test]
+fn fingerprint_invalidations_are_counted_without_perturbing_the_pool() {
+    let g = graph(11);
+    let batches = history(&g, 2, 20, 5);
+    let run = |staleness: Staleness, recorder: Option<Arc<MetricsRecorder>>| {
+        let mut builder = EngineBuilder::new(g.clone())
+            .seeds([NodeId(0), NodeId(1), NodeId(2)])
+            .k(4)
+            .threads(2)
+            .seed(0xB0057)
+            .sampling(Sampling::Fixed { samples: SAMPLES })
+            .staleness(staleness);
+        if let Some(recorder) = recorder {
+            builder = builder.recorder(recorder);
+        }
+        let mut engine = builder.build().expect("valid engine configuration");
+        for batch in &batches {
+            engine.apply_mutations(batch).expect("contiguous epoch");
+        }
+        engine
+    };
+
+    let hybrid = Staleness::ExactHybrid { bloom_above: 0 };
+    let recorder = Arc::new(MetricsRecorder::new());
+    let mut recorded = run(hybrid, Some(recorder.clone()));
+    let metrics = recorder.snapshot();
+    let invalidated = metrics.counter("online.invalidated").unwrap_or(0);
+    assert!(invalidated > 0, "the history must invalidate something");
+    assert_eq!(
+        metrics.counter("online.invalidated_bloom"),
+        Some(invalidated)
+    );
+    let mut noop = run(hybrid, None);
+    assert!(
+        recorded.pool().expect("pool built").arena() == noop.pool().expect("pool built").arena(),
+        "arena bytes changed under recording"
+    );
+
+    let recorder = Arc::new(MetricsRecorder::new());
+    run(Staleness::ExactCompressed, Some(recorder.clone()));
+    let metrics = recorder.snapshot();
+    assert!(metrics.counter("online.invalidated").unwrap_or(0) > 0);
+    assert_eq!(metrics.counter("online.invalidated_bloom").unwrap_or(0), 0);
 }

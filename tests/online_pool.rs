@@ -2,8 +2,8 @@
 //! contracts, end to end:
 //!
 //! * after **any** mutation sequence, under **every** staleness rule
-//!   (approximate node tables; exact sorted, compressed, bloom and
-//!   hybrid footprints; trace-retention conditional replay), the
+//!   (approximate node tables; exact compressed and hybrid footprints;
+//!   trace-retention conditional replay), the
 //!   incrementally maintained pool's compacted arena
 //!   is **byte-equal** to the naive replay oracle
 //!   (`rebuild_from_history`: legacy per-graph payloads, full per-sample
@@ -40,13 +40,14 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Every staleness rule, as proptest draws them: the node-table
-/// heuristic, all four exact footprint tiers, and the trace-retention
-/// tier whose refresh is a conditional replay instead of a redraw.
-const STALENESS_MODES: [Staleness; 6] = [
+/// heuristic, the exact footprint tiers (the hybrid one at two
+/// thresholds; `bloom_above: 0` fingerprints every non-empty footprint),
+/// and the trace-retention tier whose refresh is a conditional replay
+/// instead of a redraw.
+const STALENESS_MODES: [Staleness; 5] = [
     Staleness::Approximate,
-    Staleness::Exact,
-    Staleness::ExactBloom { bits: 128 },
     Staleness::ExactCompressed,
+    Staleness::ExactHybrid { bloom_above: 0 },
     Staleness::ExactHybrid { bloom_above: 4 },
     Staleness::ExactTrace,
 ];
@@ -216,7 +217,7 @@ proptest! {
         threads in 1usize..8,
         epochs in 1usize..4,
         threshold in 0u32..3,
-        staleness in 0usize..6,
+        staleness in 0..STALENESS_MODES.len(),
     ) {
         let g = er_graph(14, 40, graph_seed);
         let mut rng = SmallRng::seed_from_u64(mutation_seed);
@@ -241,7 +242,7 @@ proptest! {
         k in 1usize..4,
         threads in 1usize..5,
         epochs in 1usize..3,
-        staleness in 0usize..6,
+        staleness in 0..STALENESS_MODES.len(),
     ) {
         let g = gadget();
         let mut rng = SmallRng::seed_from_u64(mutation_seed);
@@ -414,7 +415,7 @@ fn exact_mode_zero_drift_over_random_histories() {
             threads: 2,
             base_seed: pool_seed,
             compact_threshold: 0.25,
-            staleness: Staleness::Exact,
+            staleness: Staleness::ExactCompressed,
         };
         let mut m = PoolMaintainer::build(g.clone(), vec![NodeId(0)], opts).unwrap();
         for batch in &history {
@@ -478,7 +479,10 @@ fn approximate_under_detection_is_detected_and_reported() {
     let stale_delta = approx.pool().delta_hat(&[NodeId(2)]);
     assert!(stale_delta > 0.0, "stale pool keeps paying out");
 
-    for staleness in [Staleness::Exact, Staleness::ExactBloom { bits: 128 }] {
+    for staleness in [
+        Staleness::ExactCompressed,
+        Staleness::ExactHybrid { bloom_above: 0 },
+    ] {
         let mut exact = PoolMaintainer::build(graph(), vec![NodeId(0)], opts(staleness)).unwrap();
         let report = exact.apply_epoch(&batch).unwrap();
         assert!(report.invalidated > 0, "{staleness:?} must detect");
@@ -622,6 +626,7 @@ fn mutation_on_untouched_nodes_invalidates_nothing() {
 #[test]
 fn exact_stale_sets_match_fresh_footprint_scans() {
     use kboost::online::Mutation;
+    use kboost::prr::FootprintColumn;
 
     fn fresh_scans(m: &PoolMaintainer, mutations: &[Mutation]) -> (Vec<u32>, Vec<u32>) {
         if mutations.is_empty() {
@@ -632,18 +637,16 @@ fn exact_stale_sets_match_fresh_footprint_scans() {
             head_hit[mu.endpoints().1.index()] = true;
         }
         let arena = m.pool().arena();
-        let hit = |nodes: &[u32]| nodes.iter().any(|&v| head_hit[v as usize]);
+        let hit = |col: &FootprintColumn, i: u32| {
+            let mut any = false;
+            col.for_each_node(i as usize, |v| any |= head_hit[v as usize]);
+            any
+        };
         let graphs = (0..arena.len() as u32)
-            .filter(|&gi| {
-                arena.is_live(gi as usize)
-                    && hit(arena.footprints().nodes(gi as usize).expect("sorted"))
-            })
+            .filter(|&gi| arena.is_live(gi as usize) && hit(arena.footprints(), gi))
             .collect();
         let empties = (0..arena.num_empty_footprints() as u32)
-            .filter(|&ei| {
-                arena.empty_is_live(ei as usize)
-                    && hit(arena.empty_footprints().nodes(ei as usize).expect("sorted"))
-            })
+            .filter(|&ei| arena.empty_is_live(ei as usize) && hit(arena.empty_footprints(), ei))
             .collect();
         (graphs, empties)
     }
@@ -657,7 +660,7 @@ fn exact_stale_sets_match_fresh_footprint_scans() {
             threads: 2,
             base_seed: 0xBEE,
             compact_threshold: threshold,
-            staleness: Staleness::Exact,
+            staleness: Staleness::ExactCompressed,
         };
         let mut m = PoolMaintainer::build(g.clone(), vec![NodeId(0)], opts).unwrap();
         let history = random_history(&g, 5, &mut rng);
@@ -773,7 +776,7 @@ proptest! {
         pool_seed in 0u64..5_000,
         threads in 1usize..8,
         epochs in 1usize..4,
-        staleness in 0usize..6,
+        staleness in 0..STALENESS_MODES.len(),
         fault_chunk in 0u64..3,
         panic_instead in (0u32..2).prop_map(|b| b == 1),
     ) {

@@ -94,7 +94,7 @@ fn assert_kernel_matches_scalar(
     let (_, kernel_shard, _, _) = kernel_pool.into_parts();
     let (_, scalar_shard, _, _) = scalar_pool.into_parts();
     // Arena equality compares every raw storage array, footprint columns
-    // (node lists / bloom words) included.
+    // (entries, dictionaries, fingerprints) included.
     assert!(
         PrrArena::from_shard(kernel_shard) == PrrArena::from_shard(scalar_shard),
         "kernel arena diverged from scalar arena \
@@ -105,7 +105,7 @@ fn assert_kernel_matches_scalar(
 #[test]
 fn interrupted_then_resumed_kernel_pool_equals_uninterrupted() {
     let g = build_graph(Family::Er, 11);
-    let source = PrrFullSource::with_footprints(&g, &[NodeId(0)], 3, FootprintMode::Sorted);
+    let source = PrrFullSource::with_footprints(&g, &[NodeId(0)], 3, FootprintMode::Compressed);
 
     let mut straight: SketchPool<PrrArenaShard> = SketchPool::new(0xBEEF, 3);
     assert_eq!(
@@ -173,8 +173,8 @@ proptest! {
         let family = [Family::Er, Family::Pa, Family::Gadget][family_ix];
         let mode = [
             FootprintMode::Off,
-            FootprintMode::Sorted,
-            FootprintMode::Bloom { bits: 64 },
+            FootprintMode::Compressed,
+            FootprintMode::Hybrid { bloom_above: 4 },
         ][mode_ix];
         let threads = [1usize, 7][threads_ix];
         // 0 ⇒ run to completion; otherwise interrupt at chunk `stop_raw`.
