@@ -239,79 +239,154 @@ impl DiGraph {
             + (self.out_probs.len() + self.in_probs.len()) * size_of::<EdgeProbs>()
     }
 
-    /// Builds the struct-of-arrays mirror of the in-edge adjacency used by
-    /// the data-oriented samplers (see [`InEdgeSoa`]). `O(m)`; call once
-    /// per graph (and once per mutation epoch, since every epoch rebuilds
-    /// the CSR and therefore any mirror of it).
+    /// The in-edge CSR offsets, `n + 1` entries: `v`'s in-edges occupy
+    /// positions `in_offsets()[v]..in_offsets()[v + 1]` of
+    /// [`in_sources`](Self::in_sources) and [`in_probs`](Self::in_probs),
+    /// in [`in_edges`](Self::in_edges) order. Exposed for the sampling
+    /// kernels, which read the offsets ahead of expansion to prefetch.
+    #[inline]
+    pub fn in_offsets(&self) -> &[u32] {
+        &self.in_offsets
+    }
+
+    /// Source node id of every in-edge, parallel to
+    /// [`in_probs`](Self::in_probs).
+    #[inline]
+    pub fn in_sources(&self) -> &[u32] {
+        &self.in_sources
+    }
+
+    /// Exact `(p_uv, p'_uv)` of every in-edge, parallel to
+    /// [`in_sources`](Self::in_sources).
+    #[inline]
+    pub fn in_probs(&self) -> &[EdgeProbs] {
+        &self.in_probs
+    }
+
+    /// Builds the packed in-edge lane used by the PRR phase-I kernel (see
+    /// [`InEdgeSoa`]). `O(m)`; call once per graph (and once per mutation
+    /// epoch, since every epoch rebuilds the CSR and therefore any lane
+    /// derived from it).
     pub fn in_edge_soa(&self) -> InEdgeSoa {
         InEdgeSoa {
-            offsets: self.in_offsets.clone(),
-            heads: self.in_sources.clone(),
-            probs: self.in_probs.clone(),
+            lane: self
+                .in_sources
+                .iter()
+                .zip(&self.in_probs)
+                .map(|(&head, p)| PackedInEdge {
+                    head,
+                    boosted_hi: coin_threshold_hi(p.boosted),
+                    base_hi: coin_threshold_hi(p.base),
+                })
+                .collect(),
         }
     }
 }
 
-/// Flat mirror of a graph's in-edge adjacency tuned for the backward
-/// sampling kernels: a narrow `u32` head lane and a paired
-/// `(base, boosted)` probability lane, both in the CSR in-edge layout (and
-/// edge order) of the [`DiGraph`] it was built from.
+/// The hot lane of the phase-I kernel: one 8-byte [`PackedInEdge`] per
+/// in-edge, in the CSR in-edge order of the [`DiGraph`] it was built from.
 ///
-/// The lane split follows the kernels' access pattern. Every draw
-/// compares against `boosted` and usually `base` of the *same* edge, so
-/// the two probabilities live together in one 16-byte [`EdgeProbs`]
-/// record — one cache line serves four edges instead of spreading each
-/// edge's pair across two distant lines. Heads stay in their own `u32`
-/// lane because they are read ahead of the draws (the kernels prefetch
-/// per-node state for upcoming heads), and a narrow lane packs sixteen
-/// per line. Built once per graph via [`DiGraph::in_edge_soa`] — it holds
-/// copies, not borrows, so a mutation epoch that rebuilds the `DiGraph`
-/// must rebuild the mirror too (sources do this by construction: they
-/// build their mirror from the epoch's graph).
+/// The kernel draws one coin per in-edge of every expanded node and, at
+/// benchmark scale, is bound by the edge bytes it streams rather than by
+/// the draws. Each record therefore carries only what nearly every coin
+/// needs: the head, and the 16-bit coin thresholds of `p'_uv` and
+/// `p_uv` (see [`coin_threshold_hi`]). The exact
+/// [`EdgeProbs`] stay in the graph's CSR ([`DiGraph::in_probs`]), the cold
+/// lane that [`coin_at_least`] reads only on a 16-bit tie (probability
+/// 2⁻¹⁶ per comparison), and the kernel reads the offsets from
+/// [`DiGraph::in_offsets`] as well. The lane holds derived values, not
+/// borrows, so a mutation epoch that rebuilds the `DiGraph` must rebuild
+/// it too (sources do this by construction: they build their lane from
+/// the epoch's graph).
 #[derive(Clone, Debug)]
 pub struct InEdgeSoa {
-    /// Per-node edge ranges, `n + 1` entries (the in-edge CSR offsets).
-    offsets: Vec<u32>,
-    /// Edge source node ids, one per in-edge.
-    heads: Vec<u32>,
-    /// Paired `(p_uv, p'_uv)` probabilities, one record per in-edge.
-    probs: Vec<EdgeProbs>,
+    lane: Vec<PackedInEdge>,
 }
 
 impl InEdgeSoa {
-    /// The flat edge range of `v`'s in-edges: index `heads`/`probs`
-    /// with it.
+    /// One record per in-edge, indexed by the positions of
+    /// [`DiGraph::in_offsets`].
     #[inline]
-    pub fn range(&self, v: NodeId) -> (usize, usize) {
-        let i = v.index();
-        (self.offsets[i] as usize, self.offsets[i + 1] as usize)
+    pub fn lane(&self) -> &[PackedInEdge] {
+        &self.lane
     }
 
-    /// Edge source ids, parallel to [`probs`](Self::probs).
-    #[inline]
-    pub fn heads(&self) -> &[u32] {
-        &self.heads
-    }
-
-    /// The raw CSR offset array (`n + 1` entries) behind
-    /// [`range`](Self::range) — exposed so samplers can prefetch a node's
-    /// range entry as soon as the node is enqueued, before it is expanded.
-    #[inline]
-    pub fn offsets(&self) -> &[u32] {
-        &self.offsets
-    }
-
-    /// The paired `(p_uv, p'_uv)` lane, parallel to [`heads`](Self::heads).
-    #[inline]
-    pub fn probs(&self) -> &[EdgeProbs] {
-        &self.probs
-    }
-
-    /// Approximate heap bytes of the mirror.
+    /// Heap bytes of the lane.
     pub fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.offsets.len() + self.heads.len()) * size_of::<u32>()
-            + self.probs.len() * size_of::<EdgeProbs>()
+        self.lane.len() * std::mem::size_of::<PackedInEdge>()
+    }
+}
+
+/// One in-edge `(u, v)` of the packed lane: the head `u` and the 16-bit
+/// coin thresholds of `p'_uv` and `p_uv`, 8 bytes in all.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[repr(C)]
+pub struct PackedInEdge {
+    head: u32,
+    boosted_hi: u16,
+    base_hi: u16,
+}
+
+impl PackedInEdge {
+    /// The edge's source node id `u`.
+    #[inline]
+    pub fn head(self) -> u32 {
+        self.head
+    }
+
+    /// [`coin_threshold_hi`] of `p'_uv`.
+    #[inline]
+    pub fn boosted_hi(self) -> u16 {
+        self.boosted_hi
+    }
+
+    /// [`coin_threshold_hi`] of `p_uv`.
+    #[inline]
+    pub fn base_hi(self) -> u16 {
+        self.base_hi
+    }
+}
+
+/// The 16-bit coin threshold of `p`: `floor(p·2¹⁶)`, saturated to
+/// `0..=u16::MAX`, with NaN mapped to `u16::MAX`.
+///
+/// A coin drawn as 64 random bits is `unit_f64(bits) = (bits >> 11)·2⁻⁵³`,
+/// and since `bits >> 11` is an integer, `unit_f64(bits) < p` iff
+/// `(bits >> 11) < T` with `T = ceil(p·2⁵³)`. A 16-bit value `x` settles
+/// every coin whose `bits >> 48` differs from it iff
+/// `x·2³⁷ ≤ T ≤ (x + 1)·2³⁷`: below `x` the coin is under `T`, above it
+/// at or over `T`. `floor(p·2¹⁶)` satisfies that for every `p` in
+/// `[0, 1]` (so does `T >> 37`, which differs from it only when `T` is a
+/// multiple of 2³⁷ and `p·2⁵³` is not an integer), and it is one multiply
+/// and one conversion, so a lane of two thresholds per edge builds at
+/// memory speed. Values outside `[0, 1]`, which [`DiGraph::map_probs`]
+/// stores without validation, stay exact too: `p < 0` gives 0 and no
+/// `bits >> 48` lies below it, while `p > 1` and NaN, which no coin
+/// reaches (`unit_f64(bits) >= NaN` is false), give `u16::MAX` and none
+/// lies above it. Ties fall back to the exact comparison.
+pub fn coin_threshold_hi(p: f64) -> u16 {
+    if p.is_nan() {
+        return u16::MAX;
+    }
+    // Scaling by 2¹⁶ is exact; the cast truncates and saturates.
+    (p * 65536.0) as u16
+}
+
+/// Whether the coin drawn as `bits` lands at or above `p`, i.e.
+/// `unit_f64(bits) >= p`, given `p_hi = coin_threshold_hi(p)`.
+///
+/// The 16-bit comparison decides unless `bits >> 48 == p_hi`; only then
+/// is the exact probability read through `p` and compared in floating
+/// point. Both answers are the same predicate (see [`coin_threshold_hi`]),
+/// so callers draw and consume exactly the stream of the plain
+/// comparison.
+#[inline(always)]
+pub fn coin_at_least(bits: u64, p_hi: u16, p: impl FnOnce() -> f64) -> bool {
+    let hi = (bits >> 48) as u16;
+    if hi != p_hi {
+        hi > p_hi
+    } else {
+        rand::distr::unit_f64(bits) >= p()
     }
 }
 
@@ -376,16 +451,88 @@ mod tests {
     fn in_edge_soa_mirrors_in_edges() {
         let g = diamond();
         let soa = g.in_edge_soa();
+        assert_eq!(soa.lane().len(), g.num_edges());
         for v in 0..g.num_nodes() as u32 {
-            let (lo, hi) = soa.range(NodeId(v));
+            let (lo, hi) = (
+                g.in_offsets()[v as usize] as usize,
+                g.in_offsets()[v as usize + 1] as usize,
+            );
             let aos: Vec<(NodeId, EdgeProbs)> = g.in_edges(NodeId(v)).collect();
             assert_eq!(hi - lo, aos.len());
             for (e, &(u, p)) in (lo..hi).zip(aos.iter()) {
-                assert_eq!(soa.heads()[e], u.0);
-                assert_eq!(soa.probs()[e], p);
+                assert_eq!(g.in_sources()[e], u.0);
+                assert_eq!(g.in_probs()[e], p);
+                let rec = soa.lane()[e];
+                assert_eq!(rec.head(), u.0);
+                assert_eq!(rec.boosted_hi(), coin_threshold_hi(p.boosted));
+                assert_eq!(rec.base_hi(), coin_threshold_hi(p.base));
             }
         }
-        assert!(soa.memory_bytes() > 0);
+        assert_eq!(std::mem::size_of::<PackedInEdge>(), 8);
+        assert_eq!(soa.memory_bytes(), 8 * g.num_edges());
+    }
+
+    #[test]
+    fn packed_coin_verdict_matches_unit_f64() {
+        use crate::probability::ProbabilityModel;
+        use rand::distr::unit_f64;
+        use rand::rngs::SmallRng;
+        use rand::{RngCore, SeedableRng};
+
+        let mut rng = SmallRng::seed_from_u64(0x5EED);
+        let mut ps = vec![0.0, -0.0, 5e-324, 1.0 - 2f64.powi(-53), 1.0];
+        // Unvalidated values that `map_probs` can store.
+        ps.extend([f64::NAN, -1.0, 2.0, f64::INFINITY]);
+        // Every 16-bit boundary region: j·2⁻¹⁶ and its f64 neighbours.
+        for j in [1u64, 2, 3, 255, 256, 4095, 4096, 32767, 32768, 65534, 65535] {
+            let p = j as f64 / 65536.0;
+            ps.extend([
+                f64::from_bits(p.to_bits() - 1),
+                p,
+                f64::from_bits(p.to_bits() + 1),
+            ]);
+        }
+        let model = ProbabilityModel::LogNormal {
+            mu: -1.93,
+            sigma: 1.0,
+            cap: 1.0,
+        };
+        for _ in 0..64 {
+            let p = model.sample(&mut rng, 0);
+            ps.extend([p, crate::probability::boost_probability(p, 2.0)]);
+        }
+
+        let low48 = (1u64 << 48) - 1;
+        for &p in &ps {
+            let p_hi = coin_threshold_hi(p);
+            let check = |bits: u64| {
+                assert_eq!(
+                    coin_at_least(bits, p_hi, || p),
+                    unit_f64(bits) >= p,
+                    "p = {p:e} (hi {p_hi}), bits = {bits:#018x}"
+                );
+            };
+            // Random coins: almost all settle on the 16-bit comparison.
+            for _ in 0..2_000 {
+                check(rng.next_u64());
+            }
+            // Coins forced onto the tie, where the exact comparison runs.
+            let tie = u64::from(p_hi) << 48;
+            for _ in 0..2_000 {
+                check(tie | (rng.next_u64() & low48));
+            }
+            check(tie);
+            check(tie | low48);
+            // Both sides of the exact threshold `ceil(p·2⁵³) << 11`.
+            let t = (p * (1u64 << 53) as f64).ceil();
+            if t > 0.0 && t < (1u64 << 53) as f64 {
+                let t = t as u64;
+                for low in [0u64, 1, 0x7FF] {
+                    check((t << 11) | low);
+                    check(((t - 1) << 11) | low);
+                }
+            }
+        }
     }
 
     #[test]

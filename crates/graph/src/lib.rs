@@ -43,7 +43,7 @@ pub mod probability;
 pub mod stats;
 
 pub use builder::{BuildError, GraphBuilder};
-pub use csr::{DiGraph, EdgeProbs, InEdgeSoa};
+pub use csr::{coin_at_least, coin_threshold_hi, DiGraph, EdgeProbs, InEdgeSoa, PackedInEdge};
 pub use node::NodeId;
 
 /// A set of nodes represented as a sorted, deduplicated vector.

@@ -863,9 +863,9 @@ impl PoolMaintainer {
                 let mut refresh: SketchPool<PrrArenaShard> =
                     SketchPool::with_epoch(self.opts.base_seed, batch.epoch, self.opts.threads);
                 refresh.set_obs(obs.clone());
-                // A fresh source per epoch also rebuilds the kernel's SoA
-                // in-edge mirror against the mutated graph — mirror
-                // coherence is by construction, never by invalidation.
+                // A fresh source per epoch also rebuilds the kernel's packed
+                // in-edge lane against the mutated graph — lane coherence
+                // is by construction, never by invalidation.
                 let status = refresh.extend_to_within(
                     &PrrFullSource::with_footprints(
                         &new_graph,

@@ -19,15 +19,26 @@
 //!   per touched edge, fresh `Vec`s per sample. Generators built with
 //!   [`PrrGenerator::new_scalar_oracle`] use it on every entry point.
 //! * the **kernel** (`phase1_kernel`) — the throughput path used by
-//!   generators built with [`PrrGenerator::new`]. It walks the flat
-//!   [`InEdgeSoa`] probability lanes instead of zipped `EdgeProbs`
-//!   structs, refills a fixed scratch buffer of uniforms through bulk
-//!   [`RngCore::fill_u64`] calls (consumed in the exact one-draw-per-edge
-//!   order of the scalar loop, so the stream is bit-identical), keeps the
-//!   BFS deque, edge list, and seed buffer in the thread-local
-//!   [`GenScratch`] so steady-state sampling performs no heap allocation,
-//!   and emits *sample-local* node ids as it goes — phase II consumes them
-//!   directly and skips its global→local relabeling pass.
+//!   generators built with [`PrrGenerator::new`]. It walks the packed
+//!   8-byte [`InEdgeSoa`] lane (head plus 16-bit coin thresholds) instead
+//!   of the 20 bytes per edge of the CSR, refills a fixed scratch buffer
+//!   of uniforms through bulk [`RngCore::fill_u64`] calls (consumed in the
+//!   exact one-draw-per-edge order of the scalar loop, so the stream is
+//!   bit-identical), keeps the BFS deque, edge list, and seed buffer in
+//!   the thread-local [`GenScratch`] so steady-state sampling performs no
+//!   heap allocation, and emits *sample-local* node ids as it goes —
+//!   phase II consumes them directly and skips its global→local
+//!   relabeling pass.
+//!
+//! The kernel settles each coin on integers: `bits >> 48` of the drawn
+//! `u64` against the record's threshold, falling back to the scalar
+//! loop's `unit_f64(bits)` comparison against the graph's exact
+//! [`EdgeProbs`](kboost_graph::EdgeProbs) only on a tie (probability 2⁻¹⁶
+//! per comparison). The two tests are the same predicate
+//! ([`coin_at_least`]), so every verdict, and with it the stream, covers
+//! and arena bytes, equals the scalar loop's. At benchmark scale phase I
+//! is bound by edge traffic, not draws: the lane is 8 bytes per edge
+//! against the 20 of the CSR's head and probability arrays.
 //!
 //! The only stream subtlety is the early `Activated` return: the scalar
 //! loop stops mid-in-edge-list having consumed exactly one draw per edge
@@ -50,7 +61,7 @@
 //! footprint-on and footprint-off pools draw identical streams.
 
 use kboost_diffusion::sim::BoostMask;
-use kboost_graph::{DiGraph, InEdgeSoa, NodeId};
+use kboost_graph::{coin_at_least, DiGraph, InEdgeSoa, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore};
 
@@ -185,7 +196,7 @@ enum KernelPhase1 {
 /// Generator of random PRR-graphs for a fixed `(G, S, k)`.
 pub struct PrrGenerator<'g> {
     g: &'g DiGraph,
-    /// SoA in-edge mirror: present on kernel generators ([`new`]
+    /// Packed in-edge lane: present on kernel generators ([`new`]
     /// (Self::new)), absent on scalar oracles
     /// ([`new_scalar_oracle`](Self::new_scalar_oracle)).
     soa: Option<InEdgeSoa>,
@@ -336,9 +347,9 @@ thread_local! {
 
 impl<'g> PrrGenerator<'g> {
     /// Creates a kernel generator for seeds `S` and budget `k`: builds the
-    /// SoA in-edge mirror (`O(m)`, once per generator — sources construct
+    /// packed in-edge lane (`O(m)`, once per generator — sources construct
     /// one generator per pool build / mutation epoch, which is what keeps
-    /// the mirror fresh across online epochs) and routes the bulk-sampling
+    /// the lane fresh across online epochs) and routes the bulk-sampling
     /// entry points through the data-oriented kernel.
     pub fn new(g: &'g DiGraph, seeds: &[NodeId], k: usize) -> Self {
         PrrGenerator {
@@ -349,7 +360,7 @@ impl<'g> PrrGenerator<'g> {
         }
     }
 
-    /// Creates a scalar-oracle generator: no SoA mirror, every entry point
+    /// Creates a scalar-oracle generator: no packed lane, every entry point
     /// runs the original per-edge loop. Used by the legacy sources and the
     /// kernel-equivalence test suites.
     pub fn new_scalar_oracle(g: &'g DiGraph, seeds: &[NodeId], k: usize) -> Self {
@@ -993,7 +1004,7 @@ impl<'g> PrrGenerator<'g> {
     }
 
     /// Data-oriented phase I: identical semantics and random stream to
-    /// [`phase1`](Self::phase1), but walking the SoA lanes with batched
+    /// [`phase1`](Self::phase1), but walking the packed lane with batched
     /// uniform draws and emitting *sample-local* node/edge/seed lists into
     /// `scratch` for the compression core to consume without any
     /// global→local relabeling pass.
@@ -1029,9 +1040,9 @@ impl<'g> PrrGenerator<'g> {
             uniforms,
         } = scratch;
         let round = *round;
-        let heads = soa.heads();
-        let probs = soa.probs();
-        let offsets = soa.offsets();
+        let lane = soa.lane();
+        let offsets = self.g.in_offsets();
+        let probs = self.g.in_probs();
 
         meta[root.0 as usize] = NodeMeta {
             stamp: round,
@@ -1061,27 +1072,29 @@ impl<'g> PrrGenerator<'g> {
                 fp.push(u);
             }
             let ul = meta[u as usize].lid;
-            let (lo, hi) = soa.range(NodeId(u));
-            // One-expansion lookahead: start fetching the edge-range lines
-            // of the next nodes in the deque while this node is processed
-            // (their offset entries were prefetched when they were pushed).
+            let (lo, hi) = (
+                offsets[u as usize] as usize,
+                offsets[u as usize + 1] as usize,
+            );
+            // One-expansion lookahead: start fetching the lane lines of the
+            // next nodes in the deque while this node is processed (their
+            // offset entries were prefetched when they were pushed).
             for &(w, _) in deque.iter().take(2) {
                 prefetch(&meta[w as usize]);
                 let wlo = offsets[w as usize] as usize;
-                if wlo < heads.len() {
-                    prefetch(&heads[wlo]);
-                    prefetch(&probs[wlo]);
+                if wlo < lane.len() {
+                    prefetch(&lane[wlo]);
                 }
             }
             // Heads are known before any draw: issue their per-node state
             // loads for the whole range (rolling beyond PREFETCH_AHEAD) so
             // the kept-edge lookups below overlap their cache misses.
             for e in lo..hi.min(lo + PREFETCH_AHEAD) {
-                prefetch(&meta[heads[e] as usize]);
+                prefetch(&meta[lane[e].head() as usize]);
             }
             for e in lo..hi {
                 if e + PREFETCH_AHEAD < hi {
-                    prefetch(&meta[heads[e + PREFETCH_AHEAD] as usize]);
+                    prefetch(&meta[lane[e + PREFETCH_AHEAD].head() as usize]);
                 }
                 if pos == batch {
                     batch = if batch == 0 {
@@ -1093,20 +1106,22 @@ impl<'g> PrrGenerator<'g> {
                     rng.fill_u64(&mut uniforms[..batch]);
                     pos = 0;
                 }
-                let x = rand::distr::unit_f64(uniforms[pos]);
+                let bits = uniforms[pos];
                 pos += 1;
-                let p = probs[e];
-                if x >= p.boosted {
+                // Same three-way split as the scalar loop on x = unit_f64(bits):
+                // x ≥ boosted ⇒ blocked, x < base ⇒ live, otherwise boost.
+                // The packed thresholds decide; the exact probabilities are
+                // read only on a 16-bit tie.
+                let r = lane[e];
+                if coin_at_least(bits, r.boosted_hi(), || probs[e].boosted) {
                     continue; // blocked (the common case)
                 }
-                // Same three-way split as the scalar loop, boost decided
-                // branchlessly: x < base ⇒ live, base ≤ x < boosted ⇒ boost.
-                let boost = x >= p.base;
+                let boost = coin_at_least(bits, r.base_hi(), || probs[e].base);
                 let dvr = du + boost as u32;
                 if dvr > prune_at {
                     continue; // pruning: needs more than k boosts
                 }
-                let v = heads[e];
+                let v = r.head();
                 let to_packed = ul | if boost { LEDGE_BOOST } else { 0 };
                 let mi = v as usize;
                 let m = meta[mi];

@@ -174,7 +174,7 @@ pub struct LegacyPrrSource<'g> {
 impl<'g> LegacyPrrSource<'g> {
     /// Creates the oracle source for `(G, S, k)`. Always samples through
     /// the scalar loop (the per-graph entry points are oracle-only), so
-    /// no SoA mirror is built.
+    /// no packed in-edge lane is built.
     pub fn new(g: &'g DiGraph, seeds: &[NodeId], k: usize) -> Self {
         LegacyPrrSource {
             generator: PrrGenerator::new_scalar_oracle(g, seeds, k),
@@ -244,7 +244,7 @@ pub struct LegacyFpSource<'g> {
 impl<'g> LegacyFpSource<'g> {
     /// Creates the oracle source for `(G, S, k)`. Always samples through
     /// the scalar loop (the per-graph entry points are oracle-only), so
-    /// no SoA mirror is built.
+    /// no packed in-edge lane is built.
     pub fn new(g: &'g DiGraph, seeds: &[NodeId], k: usize) -> Self {
         LegacyFpSource {
             generator: PrrGenerator::new_scalar_oracle(g, seeds, k),

@@ -7,24 +7,26 @@
 
 //! Like the PRR phase-I sampler, two equivalent implementations coexist:
 //! the scalar loop below (one `rng.random::<f64>()` per qualifying edge)
-//! and a data-oriented kernel walking the [`InEdgeSoa`] lanes with batched
-//! [`RngCore::fill_u64`] draws consumed from a rolling buffer. The scalar
-//! loop only consumes a draw when the head is unmarked *and* `p > 0`; the
-//! kernel applies the same test at consumption time and, on exit, rewinds
-//! the RNG to the last refill snapshot and replays exactly the consumed
-//! draws, so the streams are bit-identical
-//! (`kernel_matches_scalar_oracle`).
+//! and a kernel walking the graph's in-edge CSR slices
+//! ([`DiGraph::in_offsets`], [`DiGraph::in_sources`],
+//! [`DiGraph::in_probs`]) with batched [`RngCore::fill_u64`] draws
+//! consumed from a rolling buffer. The scalar loop only consumes a draw
+//! when the head is unmarked *and* `p > 0`; the kernel applies the same
+//! test at consumption time and, on exit, rewinds the RNG to the last
+//! refill snapshot and replays exactly the consumed draws, so the streams
+//! are bit-identical (`kernel_matches_scalar_oracle`).
 //!
 //! Unlike the PRR kernel — whose walk is cache-miss-dominated at benchmark
-//! scale, hiding the buffer machinery in the miss shadow — an RR-set walk
-//! is small and usually cache-resident, so batching is roughly
-//! cost-neutral here (the vendored RNG fills sequentially; see
-//! `benches/sampling.rs` for the measured kernel-vs-scalar ratio per
-//! family). The kernel still buys the shared SoA layout and keeps the
+//! scale and reads a packed 8-byte lane
+//! ([`InEdgeSoa`](kboost_graph::InEdgeSoa)) to cut its edge traffic — an
+//! RR-set walk is small and usually cache-resident, so it reads the CSR
+//! in place and builds no lane, and batching is roughly cost-neutral here
+//! (the vendored RNG fills sequentially; see `benches/sampling.rs` for
+//! the measured kernel-vs-scalar ratio per family). The kernel keeps the
 //! draw path uniform across samplers.
 
 use kboost_diffusion::sim::BoostMask;
-use kboost_graph::{DiGraph, InEdgeSoa, NodeId};
+use kboost_graph::{DiGraph, NodeId};
 use rand::distr::unit_f64;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore};
@@ -79,23 +81,21 @@ pub fn sample_rr_set_from(
 /// data-oriented kernel; draw-stream identical to [`sample_rr_set`].
 pub fn sample_rr_set_kernel(
     g: &DiGraph,
-    soa: &InEdgeSoa,
     rng: &mut SmallRng,
     scratch: &mut RrScratch,
 ) -> Vec<NodeId> {
     let root = NodeId(rng.random_range(0..g.num_nodes() as u32));
-    sample_rr_set_from_kernel(g, soa, root, rng, scratch)
+    sample_rr_set_from_kernel(g, root, rng, scratch)
 }
 
 /// Kernel counterpart of [`sample_rr_set_from`]: a single pass over the
-/// SoA lanes, drawing from a rolling bulk-filled uniform buffer. The
+/// in-edge CSR slices, drawing from a rolling bulk-filled uniform buffer. The
 /// eligibility test (`p > 0` and head unmarked) runs at consumption time,
 /// exactly like the scalar loop; on exit the RNG is rewound to the last
 /// refill snapshot and advanced by the consumed draws so the stream stays
 /// bit-identical.
 pub fn sample_rr_set_from_kernel(
     g: &DiGraph,
-    soa: &InEdgeSoa,
     root: NodeId,
     rng: &mut SmallRng,
     scratch: &mut RrScratch,
@@ -110,8 +110,9 @@ pub fn sample_rr_set_from_kernel(
         uniforms,
     } = scratch;
     let round = *round;
-    let heads = soa.heads();
-    let probs = soa.probs();
+    let offsets = g.in_offsets();
+    let heads = g.in_sources();
+    let probs = g.in_probs();
 
     let mut set = Vec::with_capacity(8);
     stamp[root.index()] = round;
@@ -123,7 +124,7 @@ pub fn sample_rr_set_from_kernel(
     while head_cursor < set.len() {
         let v = set[head_cursor];
         head_cursor += 1;
-        let (lo, hi) = soa.range(v);
+        let (lo, hi) = (offsets[v.index()] as usize, offsets[v.index() + 1] as usize);
         for e in lo..hi {
             let u = heads[e];
             if probs[e].base > 0.0 && stamp[u as usize] != round {
@@ -195,23 +196,20 @@ impl RrScratch {
 /// coverable and covers exactly its member nodes.
 pub struct InfluenceRr<'g> {
     g: &'g DiGraph,
-    soa: Option<InEdgeSoa>,
+    kernel: bool,
 }
 
 impl<'g> InfluenceRr<'g> {
     /// Creates the source over `g`, sampling through the batched-draw
-    /// kernel (builds the SoA in-edge mirror once).
+    /// kernel.
     pub fn new(g: &'g DiGraph) -> Self {
-        InfluenceRr {
-            g,
-            soa: Some(g.in_edge_soa()),
-        }
+        InfluenceRr { g, kernel: true }
     }
 
     /// Scalar-oracle variant of [`new`](Self::new): identical stream,
     /// original per-edge loop. For equivalence tests and baseline timing.
     pub fn new_scalar_oracle(g: &'g DiGraph) -> Self {
-        InfluenceRr { g, soa: None }
+        InfluenceRr { g, kernel: false }
     }
 }
 
@@ -229,9 +227,12 @@ impl SketchGenerator for InfluenceRr<'_> {
     }
 
     fn generate(&self, rng: &mut SmallRng, (): &mut ()) -> Vec<NodeId> {
-        SCRATCH.with_borrow_mut(|scratch| match &self.soa {
-            Some(soa) => sample_rr_set_kernel(self.g, soa, rng, scratch),
-            None => sample_rr_set(self.g, rng, scratch),
+        SCRATCH.with_borrow_mut(|scratch| {
+            if self.kernel {
+                sample_rr_set_kernel(self.g, rng, scratch)
+            } else {
+                sample_rr_set(self.g, rng, scratch)
+            }
         })
     }
 }
@@ -242,7 +243,7 @@ impl SketchGenerator for InfluenceRr<'_> {
 /// This drives the MoreSeeds baseline.
 pub struct MarginalRr<'g> {
     g: &'g DiGraph,
-    soa: Option<InEdgeSoa>,
+    kernel: bool,
     seed_mask: BoostMask,
 }
 
@@ -252,7 +253,7 @@ impl<'g> MarginalRr<'g> {
     pub fn new(g: &'g DiGraph, seeds: &[NodeId]) -> Self {
         MarginalRr {
             g,
-            soa: Some(g.in_edge_soa()),
+            kernel: true,
             seed_mask: BoostMask::from_nodes(g.num_nodes(), seeds),
         }
     }
@@ -261,7 +262,7 @@ impl<'g> MarginalRr<'g> {
     pub fn new_scalar_oracle(g: &'g DiGraph, seeds: &[NodeId]) -> Self {
         MarginalRr {
             g,
-            soa: None,
+            kernel: false,
             seed_mask: BoostMask::from_nodes(g.num_nodes(), seeds),
         }
     }
@@ -275,9 +276,12 @@ impl SketchGenerator for MarginalRr<'_> {
     }
 
     fn generate(&self, rng: &mut SmallRng, (): &mut ()) -> Vec<NodeId> {
-        let set = SCRATCH.with_borrow_mut(|scratch| match &self.soa {
-            Some(soa) => sample_rr_set_kernel(self.g, soa, rng, scratch),
-            None => sample_rr_set(self.g, rng, scratch),
+        let set = SCRATCH.with_borrow_mut(|scratch| {
+            if self.kernel {
+                sample_rr_set_kernel(self.g, rng, scratch)
+            } else {
+                sample_rr_set(self.g, rng, scratch)
+            }
         });
         if set.iter().any(|&v| self.seed_mask.contains(v)) {
             Vec::new()
@@ -360,14 +364,13 @@ mod tests {
         for gseed in 0..6u64 {
             let mut grng = SmallRng::seed_from_u64(gseed + 40);
             let g = erdos_renyi(25, 100, ProbabilityModel::Trivalency, 2.0, &mut grng);
-            let soa = g.in_edge_soa();
             let mut rng_s = SmallRng::seed_from_u64(gseed * 13 + 1);
             let mut rng_k = rng_s.clone();
             let mut scratch_s = RrScratch::default();
             let mut scratch_k = RrScratch::default();
             for _ in 0..400 {
                 let set_s = sample_rr_set(&g, &mut rng_s, &mut scratch_s);
-                let set_k = sample_rr_set_kernel(&g, &soa, &mut rng_k, &mut scratch_k);
+                let set_k = sample_rr_set_kernel(&g, &mut rng_k, &mut scratch_k);
                 assert_eq!(set_s, set_k, "RR-sets diverged (gseed {gseed})");
             }
             assert_eq!(

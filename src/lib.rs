@@ -124,15 +124,18 @@
 //! byte-for-byte (`tests/sampler_kernel.rs` proves it across graph
 //! families, thread counts, footprint modes, and interruption points):
 //!
-//! * **SoA mirror lifecycle**: [`graph::DiGraph::in_edge_soa`] builds a
-//!   struct-of-arrays mirror of the in-edge CSR — narrow `u32` head and
-//!   offset lanes for prefetch lookahead, paired `(base, boosted)`
-//!   probabilities so one cache line serves both comparisons of a draw.
-//!   Sources build it **once per generator**, and every pool build or
-//!   online mutation epoch constructs a fresh generator
-//!   (`online::maintain` rebuilds sources per epoch), which is what
-//!   keeps the mirror coherent with the evolving graph — there is no
-//!   incremental mirror update to get wrong.
+//! * **Packed lane lifecycle**: [`graph::DiGraph::in_edge_soa`] builds
+//!   one 8-byte record per in-edge — the head and the 16-bit coin
+//!   thresholds `floor(p·2¹⁶)` of `p'` and `p` — in CSR in-edge order. The
+//!   kernel settles a coin by comparing `bits >> 48` of the drawn `u64`
+//!   with the record and reads the exact probabilities from the graph's
+//!   CSR only on a 16-bit tie ([`graph::coin_at_least`]), so its verdicts
+//!   are the scalar loop's. Offsets and exact probabilities are read from
+//!   the graph itself, never copied. Sources build the lane **once per
+//!   generator**, and every pool build or online mutation epoch
+//!   constructs a fresh generator (`online::maintain` rebuilds sources
+//!   per epoch), which is what keeps the lane coherent with the evolving
+//!   graph — there is no incremental lane update to get wrong.
 //! * **Batched-draw stream-order invariant**: the kernel bulk-fills a
 //!   uniform buffer via `fill_u64` (first refill small, doubling to the
 //!   batch cap) and consumes one uniform per touched edge *in the scalar

@@ -9,6 +9,9 @@
 //!   attachment, the set-cover gadget), thread counts, footprint modes,
 //!   and terminator interruption points;
 //! * [`PrrLbSource`] covers agree between kernel and scalar oracle;
+//! * both hold on a graph whose probabilities sit at 0, 1 and on the
+//!   packed lane's 16-bit coin thresholds, where the kernel's integer
+//!   verdicts meet their edge cases;
 //! * an interrupted-then-resumed kernel extension equals the
 //!   uninterrupted pool (chunk-prefix contract survives the kernel's
 //!   scratch reuse).
@@ -19,19 +22,37 @@ use kboost::graph::generators::{
     erdos_renyi, preferential_attachment, set_cover_gadget, SetCoverInstance,
 };
 use kboost::graph::probability::ProbabilityModel;
-use kboost::graph::{DiGraph, NodeId};
+use kboost::graph::{DiGraph, EdgeProbs, NodeId};
 use kboost::prr::{FootprintMode, PrrArena, PrrArenaShard, PrrFullSource, PrrLbSource};
 use kboost::rrset::sketch::{ExtendStatus, SketchPool};
 use kboost::rrset::terminator::{StopAtChunk, Unlimited};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 #[derive(Clone, Copy, Debug)]
 enum Family {
     Er,
     Pa,
     Gadget,
+    /// ER topology with every probability drawn from 0, 1, multiples of
+    /// 2⁻¹⁶ and their f64 neighbours: the values where a 16-bit coin
+    /// threshold ties or saturates.
+    Threshold,
+}
+
+/// The probability levels of [`Family::Threshold`].
+fn threshold_levels() -> Vec<f64> {
+    let mut levels = vec![0.0, 1.0, 1.0 - 2f64.powi(-53)];
+    for j in [1u64, 4_096, 16_384, 32_768, 49_152, 65_535] {
+        let p = j as f64 / 65_536.0;
+        levels.extend([
+            f64::from_bits(p.to_bits() - 1),
+            p,
+            f64::from_bits(p.to_bits() + 1),
+        ]);
+    }
+    levels
 }
 
 fn build_graph(family: Family, seed: u64) -> DiGraph {
@@ -51,6 +72,15 @@ fn build_graph(family: Family, seed: u64) -> DiGraph {
                 vec![1, 4],
             ],
         }),
+        Family::Threshold => {
+            let g = erdos_renyi(16, 50, ProbabilityModel::Constant(0.3), 2.0, &mut rng);
+            let levels = threshold_levels();
+            g.map_probs(|_, _, _| {
+                let a = levels[rng.random_range(0..levels.len())];
+                let b = levels[rng.random_range(0..levels.len())];
+                EdgeProbs::new(a.min(b), a.max(b)).expect("levels lie in [0, 1]")
+            })
+        }
     }
 }
 
@@ -136,7 +166,7 @@ fn interrupted_then_resumed_kernel_pool_equals_uninterrupted() {
 
 #[test]
 fn lb_covers_match_scalar_oracle() {
-    for family in [Family::Er, Family::Pa, Family::Gadget] {
+    for family in [Family::Er, Family::Pa, Family::Gadget, Family::Threshold] {
         let g = build_graph(family, 7);
         let kernel_src = PrrLbSource::new(&g, &[NodeId(0)], 2);
         let scalar_src = PrrLbSource::scalar_oracle(&g, &[NodeId(0)], 2);
@@ -151,6 +181,35 @@ fn lb_covers_match_scalar_oracle() {
                 scalar_pool.covers(),
                 "LB covers diverged ({family:?}, {threads} threads)"
             );
+        }
+    }
+}
+
+/// Kernel ≡ scalar where the packed thresholds tie or saturate, across
+/// footprint modes, budgets and thread counts.
+#[test]
+fn kernel_matches_scalar_on_threshold_boundaries() {
+    let modes = [
+        FootprintMode::Off,
+        FootprintMode::Compressed,
+        FootprintMode::Hybrid { bloom_above: 4 },
+    ];
+    for graph_seed in 0..4u64 {
+        let g = build_graph(Family::Threshold, graph_seed);
+        for (i, &mode) in modes.iter().enumerate() {
+            for threads in [1usize, 7] {
+                let k = 1 + (graph_seed as usize + i) % 3;
+                assert_kernel_matches_scalar(
+                    &g,
+                    &[NodeId(0)],
+                    k,
+                    graph_seed * 31 + i as u64,
+                    threads,
+                    1_500,
+                    mode,
+                    None,
+                );
+            }
         }
     }
 }
