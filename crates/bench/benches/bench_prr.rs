@@ -6,8 +6,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kboost_datasets::{Dataset, Scale};
 use kboost_diffusion::sim::BoostMask;
 use kboost_prr::{
-    greedy_delta_selection, greedy_delta_selection_naive, PrrArena, PrrEvalScratch, PrrGenerator,
-    PrrOutcome,
+    greedy_delta_selection, greedy_delta_selection_naive, FootprintMode, PrrArena, PrrEvalScratch,
+    PrrGenerator, PrrOutcome,
 };
 use kboost_rrset::seeds::select_random_nodes;
 use rand::rngs::SmallRng;
@@ -104,7 +104,7 @@ fn bench_selection(c: &mut Criterion) {
     let mut arena = PrrArena::new();
     while arena.len() < 4_000 {
         if let PrrOutcome::Boostable(p) = generator.sample(&mut rng) {
-            arena.push(&p);
+            arena.push(&p, &[], &[], FootprintMode::Off);
         }
     }
     let mut group = c.benchmark_group("prr_selection_4k_graphs_k20");

@@ -33,7 +33,7 @@ use kboost_graph::generators::preferential_attachment;
 use kboost_graph::probability::ProbabilityModel;
 use kboost_graph::{DiGraph, NodeId};
 use kboost_prr::{
-    greedy_delta_selection_naive, CompressedPrr, FootprintMode, LegacyPrrSource, PrrArena,
+    greedy_delta_selection_naive, FootprintMode, LegacyPrrSource, LegacySample, PrrArena,
     PrrArenaShard, PrrFullSource,
 };
 use kboost_rrset::seeds::select_random_nodes;
@@ -166,10 +166,10 @@ fn main() {
     // arena must also equal the legacy per-graph payloads copied into an
     // arena (shard ≡ legacy copy).
     let equiv_target = opts.samples.min(2_048);
-    let mut legacy_pool: SketchPool<Vec<CompressedPrr>> = SketchPool::new(opts.seed, 1);
+    let mut legacy_pool: SketchPool<Vec<LegacySample>> = SketchPool::new(opts.seed, 1);
     legacy_pool.extend_to(&LegacyPrrSource::new(&g, &seeds, opts.k), equiv_target);
-    let (_, payloads, _, _) = legacy_pool.into_parts();
-    let legacy_arena = PrrArena::from_graphs(payloads);
+    let (_, samples, _, _) = legacy_pool.into_parts();
+    let legacy_arena = LegacySample::arena(&samples, FootprintMode::Off);
     for threads in [1usize, 7] {
         for mode in [
             FootprintMode::Off,

@@ -11,7 +11,9 @@
 
 use kboost_diffusion::sim::BoostMask;
 use kboost_graph::NodeId;
-use kboost_prr::{CompressedPrr, PrrArena, PrrArenaShard, PrrEvalScratch, PrrGraphView};
+use kboost_prr::{
+    FootprintMode, LegacySample, PrrArena, PrrArenaShard, PrrEvalScratch, PrrGraphView,
+};
 use kboost_rrset::sketch::SketchPool;
 
 /// Reusable workspace for [`PrrPool::evaluate_many_with`].
@@ -81,15 +83,18 @@ impl PrrPool {
         }
     }
 
-    /// Test-only equivalence oracle: builds the pool by copying legacy
-    /// per-graph payloads into the arena one by one (the pre-shard
-    /// pipeline). Kept so tests can assert the shard path is byte-equal;
-    /// do not use outside tests/benches.
-    pub fn from_legacy(inner: SketchPool<Vec<CompressedPrr>>, n: usize, threads: usize) -> Self {
-        let (_covers, payloads, total, _cover_empties) = inner.into_parts();
-        let empties = total - payloads.len() as u64;
+    /// Test-only equivalence oracle: builds the pool by copying the
+    /// legacy per-graph payloads of a footprint-free
+    /// [`LegacyPrrSource::new`](kboost_prr::LegacyPrrSource::new) pool
+    /// into the arena one by one (the pre-shard pipeline). Kept so tests
+    /// can assert the shard path is byte-equal; do not use outside
+    /// tests/benches.
+    pub fn from_legacy(inner: SketchPool<Vec<LegacySample>>, n: usize, threads: usize) -> Self {
+        let (_covers, samples, total, _cover_empties) = inner.into_parts();
+        let arena = LegacySample::arena(&samples, FootprintMode::Off);
+        let empties = total - arena.len() as u64;
         PrrPool {
-            arena: PrrArena::from_graphs(payloads),
+            arena,
             n,
             total,
             empties,

@@ -22,8 +22,11 @@
 //!   under the epoch-extended determinism contract, and compacts the
 //!   arena when tombstones exceed a threshold. The naive
 //!   [`rebuild_from_history`](maintain::rebuild_from_history) replay —
-//!   legacy per-graph payloads, eager filtering, no tombstones, no
-//!   index — is the equivalence oracle.
+//!   legacy per-graph samples
+//!   ([`LegacySample`](kboost_prr::LegacySample)), eager filtering, no
+//!   tombstones, no index — is the equivalence oracle: one epoch loop
+//!   for every staleness rule, varying only its verdict and its
+//!   refresh.
 //!
 //! # Determinism contract, extended
 //!

@@ -30,10 +30,11 @@
 //! Every step is a pure function of `(initial graph, base_seed, options,
 //! mutation history)` — never of the thread count — so maintained pools
 //! are bit-identical across thread counts, and
-//! [`rebuild_from_history`] (the naive replay oracle: legacy per-graph
-//! payloads, full per-sample scans instead of the index, eager filtering
-//! instead of tombstones) reproduces the compacted arena byte for byte —
-//! in every staleness mode.
+//! [`rebuild_from_history`] (the naive replay oracle: one
+//! [`LegacySample`] per sample from the legacy per-graph source, full
+//! per-sample scans instead of the index, eager filtering instead of
+//! tombstones, one epoch loop for every rule) reproduces the compacted
+//! arena byte for byte — in every staleness mode.
 
 use std::collections::HashSet;
 
@@ -42,8 +43,7 @@ use kboost_graph::{DiGraph, NodeId};
 use kboost_obs::{Obs, Value};
 use kboost_prr::{
     greedy_delta_selection, DeltaSelection, FootprintColumn, FootprintMode, FootprintQuery,
-    LegacyFpSource, LegacyPrrSource, LegacySample, LegacyTraceSample, LegacyTraceSource, NodeIndex,
-    PrrArena, PrrArenaShard, PrrFullSource, PrrGenerator, PrrOutcome,
+    LegacyPrrSource, LegacySample, NodeIndex, PrrArena, PrrArenaShard, PrrFullSource, PrrGenerator,
 };
 use kboost_rrset::sketch::{epoch_stream_seed, ExtendStatus, SketchPool, CHUNK_SIZE};
 use kboost_rrset::terminator::{SampleProgress, Terminator, Unlimited};
@@ -1040,11 +1040,29 @@ impl PoolMaintainer {
 
 /// The equivalence oracle: replays the same mutation history from scratch
 /// through the **legacy** pipeline, under the same [`Staleness`] rule as
-/// `opts` — per-graph [`CompressedPrr`] payloads (the legacy sources draw
-/// the exact randomness of the shard source), naive full per-sample scans
-/// for staleness, eager filtering instead of tombstones, and a final
-/// per-graph copy build. Returns the epoch-`history.len()` graph and
-/// pool.
+/// `opts` — one [`LegacySample`] per sample (per-graph [`CompressedPrr`]
+/// payloads plus the raw footprints and traces the rule retains; the
+/// legacy source draws the exact randomness of the shard source), naive
+/// full per-sample scans for staleness, eager filtering instead of
+/// tombstones, and a final per-graph copy build. Returns the
+/// epoch-`history.len()` graph and pool.
+///
+/// One epoch loop serves every rule; two steps vary by tier:
+///
+/// * the **verdict** — the approximate rule scans each stored graph's
+///   node table for a touched endpoint (empty samples are invisible to
+///   it); the exact rules give each sample's raw footprint the verdict
+///   the arena column of their mode would give
+///   ([`FootprintColumn::raw_matches`], so the hybrid fingerprints' false
+///   positives reproduce bit-for-bit);
+/// * the **refresh** — `|stale|` fresh samples drawn on the
+///   `(base_seed, epoch)` stream, except under [`Staleness::ExactTrace`],
+///   which conditionally replays every stale sample — stale stored
+///   samples in retained order, then stale empties in retained order,
+///   one `replay_sample_seed` stream each — mirroring the maintainer's
+///   [`PoolMaintainer::apply_epoch`] replay exactly (arena index order
+///   equals retained-subsequence order, since tombstone-compaction and
+///   absorb both preserve order).
 ///
 /// The maintained pool's compacted arena must be byte-equal to this
 /// pool's arena (footprint columns included in exact modes), and all
@@ -1058,244 +1076,80 @@ pub fn rebuild_from_history(
     opts: &MaintainerOptions,
     history: &[EpochBatch],
 ) -> (DiGraph, PrrPool) {
-    match opts.staleness {
-        Staleness::Approximate => rebuild_approximate(graph0, seeds, opts, history),
-        Staleness::ExactCompressed | Staleness::ExactHybrid { .. } => {
-            rebuild_exact(graph0, seeds, opts, history)
-        }
-        Staleness::ExactTrace => rebuild_trace(graph0, seeds, opts, history),
-    }
-}
-
-/// Approximate-rule replay: node-table scans, stored graphs only (the
-/// original oracle, byte-for-byte).
-fn rebuild_approximate(
-    graph0: &DiGraph,
-    seeds: &[NodeId],
-    opts: &MaintainerOptions,
-    history: &[EpochBatch],
-) -> (DiGraph, PrrPool) {
+    let staleness = opts.staleness;
+    let mode = staleness.footprint_mode();
     let n = graph0.num_nodes();
+    let draw = |g: &DiGraph, epoch: u64, count: u64| {
+        let mut pool: SketchPool<Vec<LegacySample>> =
+            SketchPool::with_epoch(opts.base_seed, epoch, opts.threads);
+        pool.extend_to(
+            &LegacyPrrSource::with_footprints(g, seeds, opts.k, mode),
+            count,
+        );
+        pool.into_parts().1
+    };
     let mut g = graph0.clone();
-
-    let mut pool: SketchPool<Vec<kboost_prr::CompressedPrr>> =
-        SketchPool::with_epoch(opts.base_seed, 0, opts.threads);
-    pool.extend_to(
-        &LegacyPrrSource::new(&g, seeds, opts.k),
-        opts.target_samples,
-    );
-    // Empty = not stored (cover-less boostable graphs ARE stored), so the
-    // count derives from storage, not from the sketch layer's covers.
-    let (_covers, mut payloads, mut total, _cover_empties) = pool.into_parts();
-    let mut empties = total - payloads.len() as u64;
-
-    for batch in history {
-        g = apply_mutations(&g, &batch.mutations)
-            .expect("replayed batches were validated when first applied");
-        let touched = touched_nodes(&batch.mutations, Staleness::Approximate, n);
-        // Naive staleness: scan every retained graph's whole node table.
-        let before = payloads.len();
-        payloads.retain(|c| {
-            let view = c.view();
-            !(0..view.num_nodes() as u32)
-                .any(|l| view.global_of(l).is_some_and(|gid| touched[gid.index()]))
-        });
-        let invalidated = (before - payloads.len()) as u64;
-        total -= invalidated;
-
-        if invalidated > 0 {
-            let mut refresh: SketchPool<Vec<kboost_prr::CompressedPrr>> =
-                SketchPool::with_epoch(opts.base_seed, batch.epoch, opts.threads);
-            refresh.extend_to(&LegacyPrrSource::new(&g, seeds, opts.k), invalidated);
-            let (_c, extra, drawn, _e) = refresh.into_parts();
-            empties += drawn - extra.len() as u64;
-            payloads.extend(extra);
-            total += drawn;
-        }
-    }
-
-    let arena = PrrArena::from_graphs(payloads);
-    (
-        g,
-        PrrPool::from_raw_parts(arena, n, total, empties, opts.threads),
-    )
-}
-
-/// Exact-rule replay: every sample — stored or empty — is retained as a
-/// [`LegacySample`] with its raw footprint, scanned eagerly per epoch
-/// under the same footprint verdict the arena columns give
-/// ([`FootprintColumn::raw_matches`], so the hybrid fingerprints' false
-/// positives reproduce bit-for-bit), and the final arena is copy-built
-/// with the footprint columns in place.
-fn rebuild_exact(
-    graph0: &DiGraph,
-    seeds: &[NodeId],
-    opts: &MaintainerOptions,
-    history: &[EpochBatch],
-) -> (DiGraph, PrrPool) {
-    let mode = opts.staleness.footprint_mode();
-    let n = graph0.num_nodes();
-    let mut g = graph0.clone();
-
-    let mut pool: SketchPool<Vec<LegacySample>> =
-        SketchPool::with_epoch(opts.base_seed, 0, opts.threads);
-    pool.extend_to(&LegacyFpSource::new(&g, seeds, opts.k), opts.target_samples);
-    let (_covers, mut samples, mut total, _cover_empties) = pool.into_parts();
-    let mut empties = samples
-        .iter()
-        .filter(|s| matches!(s, LegacySample::Empty { .. }))
-        .count() as u64;
-
-    for batch in history {
-        g = apply_mutations(&g, &batch.mutations)
-            .expect("replayed batches were validated when first applied");
-        let q = FootprintQuery::new(mode, &mutation_heads(&batch.mutations), n);
-        let mut invalidated = 0u64;
-        let mut invalidated_empty = 0u64;
-        samples.retain(|s| {
-            let (footprint, is_empty) = match s {
-                LegacySample::Stored { footprint, .. } => (footprint, false),
-                LegacySample::Empty { footprint } => (footprint, true),
-            };
-            if FootprintColumn::raw_matches(mode, footprint, &q) {
-                invalidated += 1;
-                invalidated_empty += is_empty as u64;
-                false
-            } else {
-                true
-            }
-        });
-        total -= invalidated;
-        empties -= invalidated_empty;
-
-        if invalidated > 0 {
-            let mut refresh: SketchPool<Vec<LegacySample>> =
-                SketchPool::with_epoch(opts.base_seed, batch.epoch, opts.threads);
-            refresh.extend_to(&LegacyFpSource::new(&g, seeds, opts.k), invalidated);
-            let (_c, extra, drawn, _e) = refresh.into_parts();
-            empties += extra
-                .iter()
-                .filter(|s| matches!(s, LegacySample::Empty { .. }))
-                .count() as u64;
-            samples.extend(extra);
-            total += drawn;
-        }
-    }
-
-    let mut arena = PrrArena::new();
-    for s in &samples {
-        match s {
-            LegacySample::Stored { graph, footprint } => {
-                arena.push_with_footprint(graph, footprint, mode)
-            }
-            LegacySample::Empty { footprint } => arena.push_empty_footprint(footprint, mode),
-        }
-    }
-    (
-        g,
-        PrrPool::from_raw_parts(arena, n, total, empties, opts.threads),
-    )
-}
-
-/// Trace-rule replay: every sample is retained as a
-/// [`LegacyTraceSample`] (payload + footprint + coin trace), staleness
-/// verdicts are the same eager [`FootprintColumn::raw_matches`] scans as
-/// [`rebuild_exact`], and invalidated samples are *conditionally
-/// replayed* — stale stored samples in retained order, then stale
-/// empties in retained order, one [`replay_sample_seed`] stream each —
-/// mirroring the maintainer's [`PoolMaintainer::apply_epoch`] replay
-/// exactly (arena index order equals retained-subsequence order, since
-/// tombstone-compaction and absorb both preserve order).
-fn rebuild_trace(
-    graph0: &DiGraph,
-    seeds: &[NodeId],
-    opts: &MaintainerOptions,
-    history: &[EpochBatch],
-) -> (DiGraph, PrrPool) {
-    let mode = opts.staleness.footprint_mode();
-    let n = graph0.num_nodes();
-    let mut g = graph0.clone();
-
-    let mut pool: SketchPool<Vec<LegacyTraceSample>> =
-        SketchPool::with_epoch(opts.base_seed, 0, opts.threads);
-    pool.extend_to(
-        &LegacyTraceSource::new(&g, seeds, opts.k),
-        opts.target_samples,
-    );
-    let (_covers, mut samples, total, _cover_empties) = pool.into_parts();
+    let mut samples = draw(&g, 0, opts.target_samples);
 
     for batch in history {
         let g_new = apply_mutations(&g, &batch.mutations)
             .expect("replayed batches were validated when first applied");
-        let (redraw_node, redraw_edge) = replay_redraw_sets(&g, &batch.mutations);
+        let touched = touched_nodes(&batch.mutations, staleness, n);
         let q = FootprintQuery::new(mode, &mutation_heads(&batch.mutations), n);
-
+        let is_stale = |s: &LegacySample| {
+            if staleness.is_exact() {
+                return FootprintColumn::raw_matches(mode, s.footprint(), &q);
+            }
+            let LegacySample::Stored { graph, .. } = s else {
+                return false;
+            };
+            let view = graph.view();
+            (0..view.num_nodes() as u32)
+                .any(|l| view.global_of(l).is_some_and(|v| touched[v.index()]))
+        };
         // Partition preserving retained order; stale stored before stale
         // empty fixes the replay ordinals the maintainer uses.
-        let mut fresh: Vec<LegacyTraceSample> = Vec::with_capacity(samples.len());
-        let mut stale_stored: Vec<Vec<u8>> = Vec::new();
-        let mut stale_empty: Vec<Vec<u8>> = Vec::new();
-        for s in samples.drain(..) {
-            let footprint = match &s {
-                LegacyTraceSample::Stored { footprint, .. }
-                | LegacyTraceSample::Empty { footprint, .. } => footprint,
-            };
-            if FootprintColumn::raw_matches(mode, footprint, &q) {
-                match s {
-                    LegacyTraceSample::Stored { trace, .. } => stale_stored.push(trace),
-                    LegacyTraceSample::Empty { trace, .. } => stale_empty.push(trace),
-                }
-            } else {
-                fresh.push(s);
+        let mut kept = Vec::with_capacity(samples.len());
+        let (mut stale_stored, mut stale_empty) = (Vec::new(), Vec::new());
+        for s in samples {
+            match s {
+                _ if !is_stale(&s) => kept.push(s),
+                LegacySample::Stored { .. } => stale_stored.push(s),
+                LegacySample::Empty { .. } => stale_empty.push(s),
             }
         }
-        samples = fresh;
+        samples = kept;
+        let stale = stale_stored.into_iter().chain(stale_empty);
 
-        let generator = PrrGenerator::new_scalar_oracle(&g_new, seeds, opts.k);
-        let stream = epoch_stream_seed(opts.base_seed, batch.epoch);
-        for (ordinal, old_trace) in stale_stored.iter().chain(stale_empty.iter()).enumerate() {
-            let mut rng = SmallRng::seed_from_u64(replay_sample_seed(stream, ordinal as u64));
-            let mut footprint = Vec::new();
-            let mut trace = Vec::new();
-            let out = generator.replay_with_footprint_trace(
-                old_trace,
-                &|u| redraw_node[u as usize],
-                &|u, v| redraw_edge.contains(&(u, v)),
-                &mut rng,
-                &mut footprint,
-                &mut trace,
-            );
-            samples.push(match out {
-                PrrOutcome::Boostable(graph) => LegacyTraceSample::Stored {
-                    graph,
-                    footprint,
-                    trace,
-                },
-                PrrOutcome::Activated | PrrOutcome::Hopeless => {
-                    LegacyTraceSample::Empty { footprint, trace }
-                }
-            });
+        if mode.retains_trace() {
+            let (redraw_node, redraw_edge) = replay_redraw_sets(&g, &batch.mutations);
+            let generator = PrrGenerator::new_scalar_oracle(&g_new, seeds, opts.k);
+            let stream = epoch_stream_seed(opts.base_seed, batch.epoch);
+            for (ordinal, old) in stale.enumerate() {
+                let mut rng = SmallRng::seed_from_u64(replay_sample_seed(stream, ordinal as u64));
+                let (mut footprint, mut trace) = (Vec::new(), Vec::new());
+                let out = generator.replay_with_footprint_trace(
+                    old.trace(),
+                    &|u| redraw_node[u as usize],
+                    &|u, v| redraw_edge.contains(&(u, v)),
+                    &mut rng,
+                    &mut footprint,
+                    &mut trace,
+                );
+                samples.push(LegacySample::new(out, footprint, trace));
+            }
+        } else {
+            let invalidated = stale.count() as u64;
+            if invalidated > 0 {
+                samples.extend(draw(&g_new, batch.epoch, invalidated));
+            }
         }
         g = g_new;
     }
 
-    let empties = samples
-        .iter()
-        .filter(|s| matches!(s, LegacyTraceSample::Empty { .. }))
-        .count() as u64;
-    let mut arena = PrrArena::new();
-    for s in &samples {
-        match s {
-            LegacyTraceSample::Stored {
-                graph,
-                footprint,
-                trace,
-            } => arena.push_with_footprint_trace(graph, footprint, trace, mode),
-            LegacyTraceSample::Empty { footprint, trace } => {
-                arena.push_empty_footprint_trace(footprint, trace, mode)
-            }
-        }
-    }
+    let arena = LegacySample::arena(&samples, mode);
+    let total = samples.len() as u64;
+    let empties = total - arena.len() as u64;
     (
         g,
         PrrPool::from_raw_parts(arena, n, total, empties, opts.threads),

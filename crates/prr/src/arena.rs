@@ -66,7 +66,7 @@ use crate::graph::{pack_edge, unpack_edge, Augmented, CompressedPrr, PrrEvalScra
 
 thread_local! {
     /// Reusable backward-CSR count/cursor buffer for
-    /// [`PrrArena::push_parts`] (cleared per graph, grown on demand) —
+    /// [`PrrArenaShard::push_parts`] (cleared per graph, grown on demand) —
     /// same idiom as the generation scratch in `gen.rs`.
     static BWD_SCRATCH: std::cell::RefCell<Vec<u32>> =
         const { std::cell::RefCell::new(Vec::new()) };
@@ -151,7 +151,7 @@ impl PrrArena {
     pub fn from_graphs<I: IntoIterator<Item = CompressedPrr>>(graphs: I) -> Self {
         let mut arena = PrrArena::new();
         for g in graphs {
-            arena.push(&g);
+            arena.push(&g, &[], &[], FootprintMode::Off);
         }
         arena
     }
@@ -192,8 +192,16 @@ impl PrrArena {
     }
 
     /// Appends one compressed graph, copying its arrays into the shared
-    /// storage with offsets rebased (legacy/oracle path).
-    pub fn push(&mut self, g: &CompressedPrr) {
+    /// storage with offsets rebased, plus the sample's footprint and
+    /// trace as `mode` keeps them (empty slices when it keeps none) —
+    /// the legacy per-graph route the equivalence oracle uses.
+    pub fn push(
+        &mut self,
+        g: &CompressedPrr,
+        footprint: &[u32],
+        trace: &[u8],
+        mode: FootprintMode,
+    ) {
         let n = g.globals.len();
         let fwd_base = self.fwd.len() as u64;
         let bwd_base = self.bwd.len() as u64;
@@ -219,53 +227,16 @@ impl PrrArena {
         if !self.dead.is_empty() {
             self.dead.push(false);
         }
+        if mode.is_on() {
+            self.fp.ensure_mode(mode);
+            self.fp.push_with_trace(footprint, trace);
+        }
     }
 
-    /// Appends one compressed graph together with its sampling footprint
-    /// (legacy/oracle path of the exact-staleness pipeline).
-    pub fn push_with_footprint(
-        &mut self,
-        g: &CompressedPrr,
-        footprint: &[u32],
-        mode: FootprintMode,
-    ) {
-        debug_assert!(mode.is_on());
-        self.push(g);
-        self.fp.ensure_mode(mode);
-        self.fp.push(footprint);
-    }
-
-    /// [`push_with_footprint`](Self::push_with_footprint) with the
-    /// sample's phase-I trace sidecar attached
-    /// ([`FootprintMode::Trace`]).
-    pub fn push_with_footprint_trace(
-        &mut self,
-        g: &CompressedPrr,
-        footprint: &[u32],
-        trace: &[u8],
-        mode: FootprintMode,
-    ) {
-        debug_assert!(mode.is_on());
-        self.push(g);
-        self.fp.ensure_mode(mode);
-        self.fp.push_with_trace(footprint, trace);
-    }
-
-    /// Records the footprint of an *empty* sample (one that stored no
-    /// graph). No-op in [`FootprintMode::Off`].
-    pub fn push_empty_footprint(&mut self, footprint: &[u32], mode: FootprintMode) {
-        self.push_empty_footprint_trace(footprint, &[], mode);
-    }
-
-    /// [`push_empty_footprint`](Self::push_empty_footprint) with the
-    /// sample's phase-I trace sidecar attached
-    /// ([`FootprintMode::Trace`]).
-    pub fn push_empty_footprint_trace(
-        &mut self,
-        footprint: &[u32],
-        trace: &[u8],
-        mode: FootprintMode,
-    ) {
+    /// Records an *empty* sample (one that stored no graph): its
+    /// footprint and trace as `mode` keeps them. No-op in
+    /// [`FootprintMode::Off`], which keeps nothing of empty samples.
+    pub fn push_empty(&mut self, footprint: &[u32], trace: &[u8], mode: FootprintMode) {
         if !mode.is_on() {
             return;
         }
@@ -274,105 +245,6 @@ impl PrrArena {
         if !self.empty_dead.is_empty() {
             self.empty_dead.push(false);
         }
-    }
-
-    /// Appends one graph straight from Phase-II adjacency output,
-    /// assembling both CSR halves in place in the shared arrays — the
-    /// streaming counterpart of [`CompressedPrr::from_adjacency`] followed
-    /// by [`push`](Self::push), producing byte-identical storage.
-    pub(crate) fn push_parts(&mut self, parts: &CompressedParts) {
-        let n = parts.globals.len();
-        debug_assert_eq!(parts.adj_off.len(), n + 1);
-        debug_assert_eq!(parts.globals[0], SUPER_SEED);
-        let m = parts.adj.len();
-        let fwd_base = self.fwd.len();
-        let bwd_base = self.bwd.len();
-        self.assert_caps(n, n + 1, m, m, parts.critical.len());
-
-        self.meta.push(GraphMeta {
-            root: parts.root,
-            node_base: self.globals.len() as u32,
-            nodes: n as u32,
-            off_base: self.fwd_off.len() as u32,
-            crit_base: self.critical.len() as u32,
-            crit_len: parts.critical.len() as u32,
-            uncompressed: parts.uncompressed,
-        });
-        self.globals.extend_from_slice(&parts.globals);
-        self.critical.extend_from_slice(&parts.critical);
-        if !self.dead.is_empty() {
-            self.dead.push(false);
-        }
-
-        // Forward CSR: the parts offsets rebased to this arena, plus the
-        // packed edges.
-        self.fwd_off
-            .extend(parts.adj_off.iter().map(|&o| fwd_base as u32 + o));
-        self.fwd.reserve(m);
-        self.fwd
-            .extend(parts.adj.iter().map(|&(to, boost)| pack_edge(to, boost)));
-
-        // Backward CSR: count in-degrees, prefix-sum into absolute
-        // offsets, then scatter (same edge order as `from_adjacency`).
-        // One reusable thread-local buffer serves as both the count and
-        // the scatter-cursor array, keeping this hot path allocation-free.
-        BWD_SCRATCH.with_borrow_mut(|cursor| {
-            cursor.clear();
-            cursor.resize(n, 0);
-            for &(to, _) in &parts.adj {
-                cursor[to as usize] += 1;
-            }
-            // Prefix-sum: emit the absolute offsets and convert each count
-            // into its node's scatter start position in the same pass.
-            let mut off = bwd_base as u32;
-            self.bwd_off.push(off);
-            for c in cursor.iter_mut() {
-                let count = *c;
-                *c = off;
-                off += count;
-                self.bwd_off.push(off);
-            }
-            self.bwd.resize(bwd_base + m, 0);
-            for from in 0..n {
-                let (lo, hi) = (
-                    parts.adj_off[from] as usize,
-                    parts.adj_off[from + 1] as usize,
-                );
-                for &(to, boost) in &parts.adj[lo..hi] {
-                    self.bwd[cursor[to as usize] as usize] = pack_edge(from as u32, boost);
-                    cursor[to as usize] += 1;
-                }
-            }
-        });
-    }
-
-    /// Streaming-path variant of [`push_parts`](Self::push_parts) that
-    /// also records the sample's footprint.
-    pub(crate) fn push_parts_fp(
-        &mut self,
-        parts: &CompressedParts,
-        footprint: &[u32],
-        mode: FootprintMode,
-    ) {
-        debug_assert!(mode.is_on());
-        self.push_parts(parts);
-        self.fp.ensure_mode(mode);
-        self.fp.push(footprint);
-    }
-
-    /// [`push_parts_fp`](Self::push_parts_fp) with the sample's phase-I
-    /// trace sidecar attached ([`FootprintMode::Trace`]).
-    pub(crate) fn push_parts_fp_trace(
-        &mut self,
-        parts: &CompressedParts,
-        footprint: &[u32],
-        trace: &[u8],
-        mode: FootprintMode,
-    ) {
-        debug_assert!(mode.is_on());
-        self.push_parts(parts);
-        self.fp.ensure_mode(mode);
-        self.fp.push_with_trace(footprint, trace);
     }
 
     /// Merges a sampling shard into this arena by bulk `Vec` appends,
@@ -721,49 +593,91 @@ impl PrrArenaShard {
         &self.0
     }
 
-    /// Appends one graph straight from Phase-II output.
-    pub(crate) fn push_parts(&mut self, parts: &CompressedParts) {
-        self.0.push_parts(parts);
-    }
-
-    /// Appends one graph plus its sampling footprint (exact-staleness
-    /// pipeline).
-    pub(crate) fn push_parts_fp(
-        &mut self,
-        parts: &CompressedParts,
-        footprint: &[u32],
-        mode: FootprintMode,
-    ) {
-        self.0.push_parts_fp(parts, footprint, mode);
-    }
-
-    /// Records an empty sample's footprint (exact-staleness pipeline).
-    pub(crate) fn push_empty_footprint(&mut self, footprint: &[u32], mode: FootprintMode) {
-        self.0.push_empty_footprint(footprint, mode);
-    }
-
-    /// Trace-sidecar variant of
-    /// [`push_parts_fp`](Self::push_parts_fp)
-    /// (conditional-refresh pipeline).
-    pub(crate) fn push_parts_fp_trace(
+    /// Appends one graph straight from Phase-II adjacency output,
+    /// assembling both CSR halves in place in the shared arrays — the
+    /// streaming counterpart of [`CompressedPrr::from_parts`] followed by
+    /// [`PrrArena::push`], producing byte-identical storage — plus the
+    /// sample's footprint and trace as `mode` keeps them (empty slices
+    /// when it keeps none).
+    pub(crate) fn push_parts(
         &mut self,
         parts: &CompressedParts,
         footprint: &[u32],
         trace: &[u8],
         mode: FootprintMode,
     ) {
-        self.0.push_parts_fp_trace(parts, footprint, trace, mode);
+        let a = &mut self.0;
+        let n = parts.globals.len();
+        debug_assert_eq!(parts.adj_off.len(), n + 1);
+        debug_assert_eq!(parts.globals[0], SUPER_SEED);
+        let m = parts.adj.len();
+        let fwd_base = a.fwd.len();
+        let bwd_base = a.bwd.len();
+        a.assert_caps(n, n + 1, m, m, parts.critical.len());
+
+        a.meta.push(GraphMeta {
+            root: parts.root,
+            node_base: a.globals.len() as u32,
+            nodes: n as u32,
+            off_base: a.fwd_off.len() as u32,
+            crit_base: a.critical.len() as u32,
+            crit_len: parts.critical.len() as u32,
+            uncompressed: parts.uncompressed,
+        });
+        a.globals.extend_from_slice(&parts.globals);
+        a.critical.extend_from_slice(&parts.critical);
+        debug_assert!(a.dead.is_empty(), "shards never hold tombstones");
+
+        // Forward CSR: the parts offsets rebased to this shard, plus the
+        // packed edges.
+        a.fwd_off
+            .extend(parts.adj_off.iter().map(|&o| fwd_base as u32 + o));
+        a.fwd.reserve(m);
+        a.fwd
+            .extend(parts.adj.iter().map(|&(to, boost)| pack_edge(to, boost)));
+
+        // Backward CSR: count in-degrees, prefix-sum into absolute
+        // offsets, then scatter (same edge order as `from_parts`).
+        // One reusable thread-local buffer serves as both the count and
+        // the scatter-cursor array, keeping this hot path allocation-free.
+        BWD_SCRATCH.with_borrow_mut(|cursor| {
+            cursor.clear();
+            cursor.resize(n, 0);
+            for &(to, _) in &parts.adj {
+                cursor[to as usize] += 1;
+            }
+            // Prefix-sum: emit the absolute offsets and convert each count
+            // into its node's scatter start position in the same pass.
+            let mut off = bwd_base as u32;
+            a.bwd_off.push(off);
+            for c in cursor.iter_mut() {
+                let count = *c;
+                *c = off;
+                off += count;
+                a.bwd_off.push(off);
+            }
+            a.bwd.resize(bwd_base + m, 0);
+            for from in 0..n {
+                let (lo, hi) = (
+                    parts.adj_off[from] as usize,
+                    parts.adj_off[from + 1] as usize,
+                );
+                for &(to, boost) in &parts.adj[lo..hi] {
+                    a.bwd[cursor[to as usize] as usize] = pack_edge(from as u32, boost);
+                    cursor[to as usize] += 1;
+                }
+            }
+        });
+        if mode.is_on() {
+            a.fp.ensure_mode(mode);
+            a.fp.push_with_trace(footprint, trace);
+        }
     }
 
-    /// Trace-sidecar variant of
-    /// [`push_empty_footprint`](Self::push_empty_footprint).
-    pub(crate) fn push_empty_footprint_trace(
-        &mut self,
-        footprint: &[u32],
-        trace: &[u8],
-        mode: FootprintMode,
-    ) {
-        self.0.push_empty_footprint_trace(footprint, trace, mode);
+    /// Records an empty sample's footprint and trace (see
+    /// [`PrrArena::push_empty`]).
+    pub(crate) fn push_empty(&mut self, footprint: &[u32], trace: &[u8], mode: FootprintMode) {
+        self.0.push_empty(footprint, trace, mode);
     }
 }
 
@@ -1029,8 +943,8 @@ mod tests {
         let g1 = sample(10, 20);
         let g2 = sample(5, 6);
         let mut arena = PrrArena::new();
-        arena.push(&g1);
-        arena.push(&g2);
+        arena.push(&g1, &[], &[], FootprintMode::Off);
+        arena.push(&g2, &[], &[], FootprintMode::Off);
         assert_eq!(arena.len(), 2);
         assert_eq!(arena.total_nodes(), 6);
         assert_eq!(arena.total_edges(), 6);
@@ -1086,8 +1000,8 @@ mod tests {
         // from_adjacency + push copy path.
         let legacy = PrrArena::from_graphs(vec![sample(10, 20), sample(5, 6)]);
         let mut shard = PrrArenaShard::new();
-        shard.push_parts(&sample_parts(10, 20));
-        shard.push_parts(&sample_parts(5, 6));
+        shard.push_parts(&sample_parts(10, 20), &[], &[], FootprintMode::Off);
+        shard.push_parts(&sample_parts(5, 6), &[], &[], FootprintMode::Off);
         assert_eq!(PrrArena::from_shard(shard), legacy);
     }
 
@@ -1096,17 +1010,17 @@ mod tests {
         // Build [g1] ++ [g2, g3] by absorbing two shards and compare with
         // the sequential single-shard build.
         let mut a = PrrArenaShard::new();
-        a.push_parts(&sample_parts(10, 20));
+        a.push_parts(&sample_parts(10, 20), &[], &[], FootprintMode::Off);
         let mut b = PrrArenaShard::new();
-        b.push_parts(&sample_parts(5, 6));
-        b.push_parts(&sample_parts(7, 8));
+        b.push_parts(&sample_parts(5, 6), &[], &[], FootprintMode::Off);
+        b.push_parts(&sample_parts(7, 8), &[], &[], FootprintMode::Off);
         let mut merged = PrrArena::new();
         merged.absorb_shard(a);
         merged.absorb_shard(b);
 
         let mut all = PrrArenaShard::new();
         for (x, y) in [(10, 20), (5, 6), (7, 8)] {
-            all.push_parts(&sample_parts(x, y));
+            all.push_parts(&sample_parts(x, y), &[], &[], FootprintMode::Off);
         }
         assert_eq!(merged, PrrArena::from_shard(all));
         assert_eq!(merged.len(), 3);
@@ -1121,7 +1035,7 @@ mod tests {
     #[test]
     fn absorb_into_empty_is_a_move() {
         let mut shard = PrrArenaShard::new();
-        shard.push_parts(&sample_parts(1, 2));
+        shard.push_parts(&sample_parts(1, 2), &[], &[], FootprintMode::Off);
         let bytes = shard.memory_bytes();
         let mut arena = PrrArena::new();
         arena.absorb_shard(shard);
@@ -1136,7 +1050,7 @@ mod tests {
         let g =
             CompressedPrr::from_adjacency(1, vec![SUPER_SEED, 7, 9], &out_adj, vec![NodeId(7)], 3);
         let mut arena = PrrArena::new();
-        arena.push(&g);
+        arena.push(&g, &[], &[], FootprintMode::Off);
         let mut heads = Vec::new();
         arena.graph(0).for_each_boost_head(|v| heads.push(v));
         assert_eq!(heads, vec![NodeId(7)]);
@@ -1179,7 +1093,7 @@ mod tests {
         let mut arena = PrrArena::from_graphs(vec![sample(1, 2), sample(3, 4)]);
         arena.tombstone(0);
         let mut shard = PrrArenaShard::new();
-        shard.push_parts(&sample_parts(7, 8));
+        shard.push_parts(&sample_parts(7, 8), &[], &[], FootprintMode::Off);
         arena.absorb_shard(shard);
         assert_eq!(arena.len(), 3);
         assert!(!arena.is_live(0));

@@ -11,13 +11,16 @@
 //!
 //! # The data-oriented kernel and its scalar oracle
 //!
-//! Two implementations of the same sampler coexist here, byte-for-byte
-//! equivalent by construction and by test:
+//! Two phase-I loops coexist here, byte-for-byte equivalent by
+//! construction and by test:
 //!
-//! * the **scalar oracle** ([`phase1`](PrrGenerator)) — the original
+//! * the **scalar loop** ([`phase1_tr`](PrrGenerator)) — the original
 //!   readable loop over [`DiGraph::in_edges`], one `rng.random::<f64>()`
 //!   per touched edge, fresh `Vec`s per sample. Generators built with
-//!   [`PrrGenerator::new_scalar_oracle`] use it on every entry point.
+//!   [`PrrGenerator::new_scalar_oracle`] use it on every entry point, and
+//!   every generator uses it for trace capture and for conditional
+//!   replay (which reuses an old trace's coins and draws the rest, see
+//!   `phase1_tr`).
 //! * the **kernel** (`phase1_kernel`) — the throughput path used by
 //!   generators built with [`PrrGenerator::new`]. It walks the packed
 //!   8-byte [`InEdgeSoa`] lane (head plus 16-bit coin thresholds) instead
@@ -59,6 +62,11 @@
 //! generation time (sorted, deduplicated) for the online subsystem's
 //! exact staleness detection; capture consumes no randomness, so
 //! footprint-on and footprint-off pools draw identical streams.
+//!
+//! Every entry point ends in one of two phase-II steps: `outcome`
+//! compresses a result into a per-graph [`PrrOutcome`], `store` compresses
+//! it into a shard entry (the graph, or an empty entry when the sample
+//! stores none) with the footprint and trace the [`FootprintMode`] keeps.
 
 use kboost_diffusion::sim::BoostMask;
 use kboost_graph::{coin_at_least, DiGraph, InEdgeSoa, NodeId};
@@ -67,7 +75,7 @@ use rand::{Rng, RngCore};
 
 use crate::arena::PrrArenaShard;
 use crate::compress::{
-    compress, compress_locals_into, compress_parts, CompressedParts, LEDGE_BOOST, LEDGE_MASK,
+    compress, compress_locals_into, compress_parts_into, CompressedParts, LEDGE_BOOST, LEDGE_MASK,
 };
 use crate::footprint::{read_varint, write_varint, FootprintMode};
 use crate::graph::CompressedPrr;
@@ -152,6 +160,27 @@ impl<'a> TraceView<'a> {
     }
 }
 
+/// A conditional replay's inputs (see [`PrrGenerator::phase1_tr`]): the
+/// old trace and the mutation batch's redraw predicates.
+struct Replay<'a> {
+    old: TraceView<'a>,
+    redraw_node: &'a dyn Fn(u32) -> bool,
+    redraw_edge: &'a dyn Fn(u32, u32) -> bool,
+}
+
+impl Replay<'_> {
+    /// The outcome-byte offset of `u`'s record, if its positions still
+    /// line up with `u`'s current in-edge list: `u` is not redrawn
+    /// wholesale, was expanded at capture, and kept its in-degree.
+    fn record(&self, u: u32, deg: usize) -> Option<usize> {
+        if (self.redraw_node)(u) {
+            return None;
+        }
+        let &(captured, off) = self.old.records.get(&u)?;
+        (captured as usize == deg).then_some(off)
+    }
+}
+
 /// Result of generating one PRR-graph.
 pub enum PrrOutcome {
     /// A live seed→root path exists: the root is activated regardless of
@@ -184,6 +213,15 @@ enum Phase1 {
     Raw(RawPrr),
 }
 
+impl Phase1 {
+    fn raw(&self) -> Option<RawRef<'_>> {
+        match self {
+            Phase1::Raw(raw) => Some(RawRef::Global(raw)),
+            Phase1::Activated | Phase1::Hopeless => None,
+        }
+    }
+}
+
 /// Kernel phase-I outcome: on `Raw`, the edge and seed lists are left in
 /// the thread-local [`GenScratch`] instead of being moved into an owned
 /// [`RawPrr`].
@@ -191,6 +229,14 @@ enum KernelPhase1 {
     Activated,
     Hopeless,
     Raw,
+}
+
+/// A boostable-candidate phase-I result as phase II reads it: the scalar
+/// loop's global-id [`RawPrr`], or the kernel's local-id lists in
+/// [`GenScratch`].
+enum RawRef<'a> {
+    Global(&'a RawPrr),
+    Local(&'a GenScratch),
 }
 
 /// Generator of random PRR-graphs for a fixed `(G, S, k)`.
@@ -361,7 +407,7 @@ impl<'g> PrrGenerator<'g> {
     }
 
     /// Creates a scalar-oracle generator: no packed lane, every entry point
-    /// runs the original per-edge loop. Used by the legacy sources and the
+    /// runs the original per-edge loop. Used by the legacy source and the
     /// kernel-equivalence test suites.
     pub fn new_scalar_oracle(g: &'g DiGraph, seeds: &[NodeId], k: usize) -> Self {
         PrrGenerator {
@@ -395,14 +441,7 @@ impl<'g> PrrGenerator<'g> {
 
     /// Generates a PRR-graph for the given root (scalar oracle).
     pub fn sample_rooted(&self, root: NodeId, rng: &mut SmallRng) -> PrrOutcome {
-        match self.phase1(root, rng, self.k as u32, None) {
-            Phase1::Activated => PrrOutcome::Activated,
-            Phase1::Hopeless => PrrOutcome::Hopeless,
-            Phase1::Raw(raw) => match compress(&raw, self.k) {
-                Some(c) => PrrOutcome::Boostable(c),
-                None => PrrOutcome::Hopeless,
-            },
-        }
+        self.outcome(self.phase1(root, rng, self.k as u32))
     }
 
     /// Like [`sample`](Self::sample), additionally writing the sample's
@@ -416,19 +455,7 @@ impl<'g> PrrGenerator<'g> {
         rng: &mut SmallRng,
         footprint: &mut Vec<u32>,
     ) -> PrrOutcome {
-        footprint.clear();
-        let root = NodeId(rng.random_range(0..self.g.num_nodes() as u32));
-        let out = match self.phase1(root, rng, self.k as u32, Some(footprint)) {
-            Phase1::Activated => PrrOutcome::Activated,
-            Phase1::Hopeless => PrrOutcome::Hopeless,
-            Phase1::Raw(raw) => match compress(&raw, self.k) {
-                Some(c) => PrrOutcome::Boostable(c),
-                None => PrrOutcome::Hopeless,
-            },
-        };
-        footprint.sort_unstable();
-        footprint.dedup();
-        out
+        self.sample_with(rng, FootprintMode::Compressed, footprint, &mut Vec::new())
     }
 
     /// Like [`sample_with_footprint`](Self::sample_with_footprint),
@@ -442,24 +469,28 @@ impl<'g> PrrGenerator<'g> {
         footprint: &mut Vec<u32>,
         trace: &mut Vec<u8>,
     ) -> PrrOutcome {
-        footprint.clear();
+        self.sample_with(rng, FootprintMode::Trace, footprint, trace)
+    }
+
+    /// The per-graph sampler of the legacy oracle: a uniformly random
+    /// root through the scalar loop, writing what `mode` retains into the
+    /// out-params — the footprint unless `Off`, the trace under `Trace` —
+    /// and clearing the rest.
+    pub(crate) fn sample_with(
+        &self,
+        rng: &mut SmallRng,
+        mode: FootprintMode,
+        footprint: &mut Vec<u32>,
+        trace: &mut Vec<u8>,
+    ) -> PrrOutcome {
         let root = NodeId(rng.random_range(0..self.g.num_nodes() as u32));
-        let out = TRACE_SCRATCH.with_borrow_mut(|tb| {
-            let out = match self.phase1_tr(root, rng, self.k as u32, Some(footprint), Some(tb)) {
-                Phase1::Activated => PrrOutcome::Activated,
-                Phase1::Hopeless => PrrOutcome::Hopeless,
-                Phase1::Raw(raw) => match compress(&raw, self.k) {
-                    Some(c) => PrrOutcome::Boostable(c),
-                    None => PrrOutcome::Hopeless,
-                },
-            };
+        self.captured(root, rng, mode, None, |ph, fp, tr| {
+            footprint.clear();
+            footprint.extend_from_slice(fp);
             trace.clear();
-            trace.extend_from_slice(&tb.buf);
-            out
-        });
-        footprint.sort_unstable();
-        footprint.dedup();
-        out
+            trace.extend_from_slice(tr);
+            self.outcome(ph)
+        })
     }
 
     /// Conditionally replays one invalidated sample from its retained
@@ -467,7 +498,7 @@ impl<'g> PrrGenerator<'g> {
     /// for the trace's root, reusing every recorded coin whose edge the
     /// mutation batch left untouched and drawing fresh coins only for
     /// `redraw_node` heads, `redraw_edge` hits, and not-drawn sentinels —
-    /// see [`phase1_replay`](Self::phase1_replay) for why the result is
+    /// see [`phase1_tr`](Self::phase1_tr) for why the result is
     /// distribution-fresh. Writes the replayed sample's new footprint and
     /// trace (against the current graph) into the out-params.
     pub fn replay_with_footprint_trace(
@@ -479,32 +510,25 @@ impl<'g> PrrGenerator<'g> {
         footprint: &mut Vec<u32>,
         trace: &mut Vec<u8>,
     ) -> PrrOutcome {
-        footprint.clear();
-        let tv = TraceView::parse(old_trace);
-        let out = TRACE_SCRATCH.with_borrow_mut(|tb| {
-            let out = match self.phase1_replay(
-                &tv,
-                redraw_node,
-                redraw_edge,
-                rng,
-                self.k as u32,
-                footprint,
-                tb,
-            ) {
-                Phase1::Activated => PrrOutcome::Activated,
-                Phase1::Hopeless => PrrOutcome::Hopeless,
-                Phase1::Raw(raw) => match compress(&raw, self.k) {
-                    Some(c) => PrrOutcome::Boostable(c),
-                    None => PrrOutcome::Hopeless,
-                },
-            };
-            trace.clear();
-            trace.extend_from_slice(&tb.buf);
-            out
-        });
-        footprint.sort_unstable();
-        footprint.dedup();
-        out
+        let replay = Replay {
+            old: TraceView::parse(old_trace),
+            redraw_node,
+            redraw_edge,
+        };
+        let root = NodeId(replay.old.root);
+        self.captured(
+            root,
+            rng,
+            FootprintMode::Trace,
+            Some(&replay),
+            |ph, fp, tr| {
+                footprint.clear();
+                footprint.extend_from_slice(fp);
+                trace.clear();
+                trace.extend_from_slice(tr);
+                self.outcome(ph)
+            },
+        )
     }
 
     /// Conditionally replays one invalidated sample from its retained
@@ -527,31 +551,14 @@ impl<'g> PrrGenerator<'g> {
             mode.retains_trace(),
             "replay requires a trace-retaining mode"
         );
-        let tv = TraceView::parse(old_trace);
-        FP_SCRATCH.with_borrow_mut(|fp| {
-            TRACE_SCRATCH.with_borrow_mut(|tb| {
-                fp.clear();
-                let phase1 =
-                    self.phase1_replay(&tv, redraw_node, redraw_edge, rng, self.k as u32, fp, tb);
-                fp.sort_unstable();
-                fp.dedup();
-                match phase1 {
-                    Phase1::Activated | Phase1::Hopeless => {
-                        shard.push_empty_footprint_trace(fp, &tb.buf, mode);
-                        Vec::new()
-                    }
-                    Phase1::Raw(raw) => match compress_parts(&raw, self.k) {
-                        None => {
-                            shard.push_empty_footprint_trace(fp, &tb.buf, mode);
-                            Vec::new()
-                        }
-                        Some(parts) => {
-                            shard.push_parts_fp_trace(&parts, fp, &tb.buf, mode);
-                            parts.critical
-                        }
-                    },
-                }
-            })
+        let replay = Replay {
+            old: TraceView::parse(old_trace),
+            redraw_node,
+            redraw_edge,
+        };
+        let root = NodeId(replay.old.root);
+        self.captured(root, rng, mode, Some(&replay), |ph, fp, tr| {
+            self.store(ph.raw(), shard, fp, tr, mode)
         })
     }
 
@@ -595,83 +602,17 @@ impl<'g> PrrGenerator<'g> {
             Some(soa) if !mode.retains_trace() => {
                 self.kernel_sample_into_fp(soa, root, rng, shard, mode)
             }
-            _ => self.scalar_sample_into_fp(root, rng, shard, mode),
+            _ => self.captured(root, rng, mode, None, |ph, fp, tr| {
+                self.store(ph.raw(), shard, fp, tr, mode)
+            }),
         }
-    }
-
-    /// Scalar-oracle body of [`sample_into_fp`](Self::sample_into_fp).
-    fn scalar_sample_into_fp(
-        &self,
-        root: NodeId,
-        rng: &mut SmallRng,
-        shard: &mut PrrArenaShard,
-        mode: FootprintMode,
-    ) -> Vec<NodeId> {
-        if !mode.is_on() {
-            return match self.phase1(root, rng, self.k as u32, None) {
-                Phase1::Activated | Phase1::Hopeless => Vec::new(),
-                Phase1::Raw(raw) => match compress_parts(&raw, self.k) {
-                    None => Vec::new(),
-                    Some(parts) => {
-                        shard.push_parts(&parts);
-                        // The shard copied the critical set; hand the owned
-                        // Vec back as the cover instead of cloning it.
-                        parts.critical
-                    }
-                },
-            };
-        }
-        FP_SCRATCH.with_borrow_mut(|fp| {
-            fp.clear();
-            if mode.retains_trace() {
-                return TRACE_SCRATCH.with_borrow_mut(|tb| {
-                    let phase1 = self.phase1_tr(root, rng, self.k as u32, Some(fp), Some(tb));
-                    fp.sort_unstable();
-                    fp.dedup();
-                    match phase1 {
-                        Phase1::Activated | Phase1::Hopeless => {
-                            shard.push_empty_footprint_trace(fp, &tb.buf, mode);
-                            Vec::new()
-                        }
-                        Phase1::Raw(raw) => match compress_parts(&raw, self.k) {
-                            None => {
-                                shard.push_empty_footprint_trace(fp, &tb.buf, mode);
-                                Vec::new()
-                            }
-                            Some(parts) => {
-                                shard.push_parts_fp_trace(&parts, fp, &tb.buf, mode);
-                                parts.critical
-                            }
-                        },
-                    }
-                });
-            }
-            let phase1 = self.phase1(root, rng, self.k as u32, Some(fp));
-            fp.sort_unstable();
-            fp.dedup();
-            match phase1 {
-                Phase1::Activated | Phase1::Hopeless => {
-                    shard.push_empty_footprint(fp, mode);
-                    Vec::new()
-                }
-                Phase1::Raw(raw) => match compress_parts(&raw, self.k) {
-                    None => {
-                        shard.push_empty_footprint(fp, mode);
-                        Vec::new()
-                    }
-                    Some(parts) => {
-                        shard.push_parts_fp(&parts, fp, mode);
-                        parts.critical
-                    }
-                },
-            }
-        })
     }
 
     /// Kernel body of [`sample_into_fp`](Self::sample_into_fp): phase I in
     /// the batched-draw kernel, phase II through the reusable
     /// [`CompressedParts`] — allocation-free in steady state apart from
-    /// the returned cover.
+    /// the returned cover. Footprints off, it borrows no footprint
+    /// buffer and sorts nothing.
     fn kernel_sample_into_fp(
         &self,
         soa: &InEdgeSoa,
@@ -683,51 +624,64 @@ impl<'g> PrrGenerator<'g> {
         SCRATCH.with_borrow_mut(|scratch| {
             if !mode.is_on() {
                 let ph = self.phase1_kernel(soa, root, rng, self.k as u32, None, scratch);
-                return match ph {
-                    KernelPhase1::Activated | KernelPhase1::Hopeless => Vec::new(),
-                    KernelPhase1::Raw => PARTS.with_borrow_mut(|parts| {
-                        if !compress_locals_into(
-                            &scratch.globals,
-                            &scratch.ledges,
-                            &scratch.lseeds,
-                            self.k,
-                            parts,
-                        ) {
-                            return Vec::new();
-                        }
-                        shard.push_parts(parts);
-                        // The shard copied the critical set; the reused
-                        // parts can donate the Vec as the cover.
-                        std::mem::take(&mut parts.critical)
-                    }),
-                };
+                let raw = matches!(ph, KernelPhase1::Raw).then_some(RawRef::Local(scratch));
+                return self.store(raw, shard, &[], &[], mode);
             }
             FP_SCRATCH.with_borrow_mut(|fp| {
                 fp.clear();
-                let phase1 = self.phase1_kernel(soa, root, rng, self.k as u32, Some(fp), scratch);
+                let ph = self.phase1_kernel(soa, root, rng, self.k as u32, Some(fp), scratch);
                 fp.sort_unstable();
                 fp.dedup();
-                match phase1 {
-                    KernelPhase1::Activated | KernelPhase1::Hopeless => {
-                        shard.push_empty_footprint(fp, mode);
-                        Vec::new()
-                    }
-                    KernelPhase1::Raw => PARTS.with_borrow_mut(|parts| {
-                        if !compress_locals_into(
-                            &scratch.globals,
-                            &scratch.ledges,
-                            &scratch.lseeds,
-                            self.k,
-                            parts,
-                        ) {
-                            shard.push_empty_footprint(fp, mode);
-                            return Vec::new();
-                        }
-                        shard.push_parts_fp(parts, fp, mode);
-                        std::mem::take(&mut parts.critical)
-                    }),
-                }
+                let raw = matches!(ph, KernelPhase1::Raw).then_some(RawRef::Local(scratch));
+                self.store(raw, shard, fp, &[], mode)
             })
+        })
+    }
+
+    /// Phase II for the per-graph entry points: one phase-I result as a
+    /// [`PrrOutcome`] (a raw graph that compression finds non-boostable
+    /// is hopeless).
+    fn outcome(&self, ph: Phase1) -> PrrOutcome {
+        match ph {
+            Phase1::Activated => PrrOutcome::Activated,
+            Phase1::Hopeless => PrrOutcome::Hopeless,
+            Phase1::Raw(raw) => {
+                compress(&raw, self.k).map_or(PrrOutcome::Hopeless, PrrOutcome::Boostable)
+            }
+        }
+    }
+
+    /// Phase II for the shard entry points: compresses `raw` (if any)
+    /// into the reusable [`CompressedParts`] and stores the sample in
+    /// `shard` — the graph when boostable, an empty entry otherwise —
+    /// with the footprint and trace `mode` retains (empty slices when it
+    /// retains none). Returns the sketch cover.
+    fn store(
+        &self,
+        raw: Option<RawRef<'_>>,
+        shard: &mut PrrArenaShard,
+        footprint: &[u32],
+        trace: &[u8],
+        mode: FootprintMode,
+    ) -> Vec<NodeId> {
+        PARTS.with_borrow_mut(|parts| {
+            let boostable = match raw {
+                None => false,
+                Some(RawRef::Global(raw)) => {
+                    compress_parts_into(raw.root, &raw.edges, &raw.seeds, self.k, parts)
+                }
+                Some(RawRef::Local(s)) => {
+                    compress_locals_into(&s.globals, &s.ledges, &s.lseeds, self.k, parts)
+                }
+            };
+            if !boostable {
+                shard.push_empty(footprint, trace, mode);
+                return Vec::new();
+            }
+            shard.push_parts(parts, footprint, trace, mode);
+            // The shard copied the critical set; the reused parts can
+            // donate the Vec as the cover.
+            std::mem::take(&mut parts.critical)
         })
     }
 
@@ -758,9 +712,9 @@ impl<'g> PrrGenerator<'g> {
                     }),
                 }
             }),
-            None => match self.phase1(root, rng, 1, None) {
+            None => match self.phase1(root, rng, 1) {
                 Phase1::Activated | Phase1::Hopeless => Vec::new(),
-                Phase1::Raw(raw) => critical_from_raw(&raw, self.g.num_nodes(), &self.seed_mask),
+                Phase1::Raw(raw) => critical_from_raw(&raw, &self.seed_mask),
             },
         }
     }
@@ -768,31 +722,81 @@ impl<'g> PrrGenerator<'g> {
     /// Phase-I raw generation, exposed for tests; prunes at `prune_at`
     /// boost edges. Always the scalar oracle.
     pub fn phase1_raw(&self, root: NodeId, rng: &mut SmallRng) -> Option<RawPrr> {
-        match self.phase1(root, rng, self.k as u32, None) {
+        match self.phase1(root, rng, self.k as u32) {
             Phase1::Raw(raw) => Some(raw),
             _ => None,
         }
     }
 
-    /// When `footprint` is given, every node whose in-edge enumeration
-    /// begins is appended to it (unsorted; a node appears at most once
-    /// because only the entry matching the settled distance expands). A
-    /// seed root queries nothing and leaves the footprint empty.
-    fn phase1(
+    /// [`phase1_tr`](Self::phase1_tr) capturing nothing.
+    fn phase1(&self, root: NodeId, rng: &mut SmallRng, prune_at: u32) -> Phase1 {
+        self.phase1_tr(root, rng, prune_at, None, None, None)
+    }
+
+    /// Scalar phase I for `root` capturing what `mode` retains — the
+    /// footprint (sorted, deduplicated) unless `Off`, the trace under
+    /// `Trace` — and replaying `replay` when given; hands the result and
+    /// the captured slices (empty where nothing is retained) to `finish`.
+    fn captured<R>(
         &self,
         root: NodeId,
         rng: &mut SmallRng,
-        prune_at: u32,
-        footprint: Option<&mut Vec<u32>>,
-    ) -> Phase1 {
-        self.phase1_tr(root, rng, prune_at, footprint, None)
+        mode: FootprintMode,
+        replay: Option<&Replay<'_>>,
+        finish: impl FnOnce(Phase1, &[u32], &[u8]) -> R,
+    ) -> R {
+        FP_SCRATCH.with_borrow_mut(|fp| {
+            TRACE_SCRATCH.with_borrow_mut(|tb| {
+                fp.clear();
+                let ph = self.phase1_tr(
+                    root,
+                    rng,
+                    self.k as u32,
+                    mode.is_on().then_some(&mut *fp),
+                    mode.retains_trace().then_some(&mut *tb),
+                    replay,
+                );
+                fp.sort_unstable();
+                fp.dedup();
+                let trace: &[u8] = if mode.retains_trace() { &tb.buf } else { &[] };
+                finish(ph, fp, trace)
+            })
+        })
     }
 
-    /// [`phase1`](Self::phase1) with optional trace capture: when `trace`
-    /// is given, the sampled outcome of every queried edge is recorded
-    /// into the per-sample [`TraceBuf`] (capture consumes no randomness,
-    /// so traced and untraced streams are bit-identical). Trace capture
-    /// runs only on the scalar loop — the kernel has no traced variant.
+    /// The scalar phase-I loop: one `rng.random::<f64>()` per queried
+    /// edge over [`DiGraph::in_edges`], fresh `Vec`s per sample.
+    ///
+    /// When `footprint` is given, every node whose in-edge enumeration
+    /// begins is appended to it (unsorted; a node appears at most once
+    /// because only the entry matching the settled distance expands). A
+    /// seed root queries nothing and leaves the footprint empty. When
+    /// `trace` is given, the outcome of every queried edge is recorded
+    /// into the per-sample [`TraceBuf`]. Capture consumes no randomness,
+    /// so every capture draws the same stream.
+    ///
+    /// With `replay` the loop is the conditional replay (Ohsaka-style) of
+    /// an invalidated sample on the *current* graph: it reuses the
+    /// recorded coin of every edge whose law is unchanged and draws a
+    /// fresh coin only where the mutation batch touched:
+    ///
+    /// * `redraw_node(u)` — `u`'s in-edge list changed structurally
+    ///   (insert/remove head): every coin of `u`'s in-edges is redrawn,
+    ///   positional correspondence with the record is void;
+    /// * `redraw_edge(v, u)` — the edge `(v, u)` had its probabilities
+    ///   rewritten in place: only that coin is redrawn;
+    /// * a popped node with no record, or whose captured in-degree
+    ///   disagrees with the current one, is redrawn wholesale;
+    /// * a [`TRACE_NOT_DRAWN`] sentinel (the capturing run returned
+    ///   `Activated` before drawing) is a deferred decision — drawn
+    ///   fresh now.
+    ///
+    /// By the principle of deferred decisions the replayed sample is an
+    /// exact draw from the new graph's PRR distribution, *jointly* with
+    /// the untouched survivors — the coupling that makes trace-retention
+    /// refresh distribution-fresh under partial churn where unconditioned
+    /// redraw is not. A replay that holds no retained coin draws exactly
+    /// what a fresh sample from the same RNG state would.
     fn phase1_tr(
         &self,
         root: NodeId,
@@ -800,6 +804,7 @@ impl<'g> PrrGenerator<'g> {
         prune_at: u32,
         mut footprint: Option<&mut Vec<u32>>,
         mut trace: Option<&mut TraceBuf>,
+        replay: Option<&Replay<'_>>,
     ) -> Phase1 {
         if let Some(tb) = trace.as_deref_mut() {
             tb.begin(root.0);
@@ -824,135 +829,18 @@ impl<'g> PrrGenerator<'g> {
                 if let Some(fp) = footprint.as_deref_mut() {
                     fp.push(u);
                 }
-                if let Some(tb) = trace.as_deref_mut() {
-                    tb.begin_node(u, self.g.in_degree(NodeId(u)));
-                }
-                for (i, (v, p)) in self.g.in_edges(NodeId(u)).enumerate() {
-                    // Sample the three-way status on first (and only) touch.
-                    let x: f64 = rng.random();
-                    let outcome = if x < p.base {
-                        TRACE_LIVE
-                    } else if x < p.boosted {
-                        TRACE_BOOST
-                    } else {
-                        TRACE_BLOCKED
-                    };
-                    if let Some(tb) = trace.as_deref_mut() {
-                        tb.record(i, outcome);
-                    }
-                    if outcome == TRACE_BLOCKED {
-                        continue; // blocked
-                    }
-                    let boost = outcome == TRACE_BOOST;
-                    let dvr = du + boost as u32;
-                    if dvr > prune_at {
-                        continue; // pruning: needs more than k boosts
-                    }
-                    edges.push((v.0, u, boost));
-                    let old = scratch.get(v.0);
-                    if dvr < old {
-                        scratch.set(v.0, dvr);
-                        if self.seed_mask.contains(v) {
-                            if dvr == 0 {
-                                return Phase1::Activated;
-                            }
-                            if old == GenScratch::INF {
-                                seeds_found.push(v.0);
-                            }
-                        } else if dvr == du {
-                            deque.push_front((v.0, dvr));
-                        } else {
-                            deque.push_back((v.0, dvr));
-                        }
-                    }
-                }
-            }
-
-            if seeds_found.is_empty() {
-                Phase1::Hopeless
-            } else {
-                Phase1::Raw(RawPrr {
-                    root: root.0,
-                    edges,
-                    seeds: seeds_found,
-                })
-            }
-        })
-    }
-
-    /// Conditional-replay phase I (Ohsaka-style): re-runs the backward
-    /// 0-1 BFS on the *current* graph for the root retained in `tv`,
-    /// reusing the recorded coin of every edge whose law is unchanged and
-    /// drawing fresh coins only where the mutation batch touched:
-    ///
-    /// * `redraw_node(u)` — `u`'s in-edge list changed structurally
-    ///   (insert/remove head): every coin of `u`'s in-edges is redrawn,
-    ///   positional correspondence with the record is void;
-    /// * `redraw_edge(v, u)` — the edge `(v, u)` had its probabilities
-    ///   rewritten in place: only that coin is redrawn;
-    /// * a popped node with no record, or whose captured in-degree
-    ///   disagrees with the current one, is redrawn wholesale;
-    /// * a [`TRACE_NOT_DRAWN`] sentinel (the capturing run returned
-    ///   `Activated` before drawing) is a deferred decision — drawn
-    ///   fresh now.
-    ///
-    /// By the principle of deferred decisions the replayed sample is an
-    /// exact draw from the new graph's PRR distribution, *jointly* with
-    /// the untouched survivors — the coupling that makes trace-retention
-    /// refresh distribution-fresh under partial churn where unconditioned
-    /// redraw is not. The replay records a new footprint and trace
-    /// against the current graph as it goes.
-    #[allow(clippy::too_many_arguments)]
-    fn phase1_replay(
-        &self,
-        tv: &TraceView<'_>,
-        redraw_node: &dyn Fn(u32) -> bool,
-        redraw_edge: &dyn Fn(u32, u32) -> bool,
-        rng: &mut SmallRng,
-        prune_at: u32,
-        footprint: &mut Vec<u32>,
-        trace_out: &mut TraceBuf,
-    ) -> Phase1 {
-        let root = NodeId(tv.root);
-        trace_out.begin(root.0);
-        if self.seed_mask.contains(root) {
-            return Phase1::Activated;
-        }
-        SCRATCH.with_borrow_mut(|scratch| {
-            scratch.begin(self.g.num_nodes());
-            let mut deque: std::collections::VecDeque<(u32, u32)> =
-                std::collections::VecDeque::new();
-            let mut edges: Vec<(u32, u32, bool)> = Vec::new();
-            let mut seeds_found: Vec<u32> = Vec::new();
-
-            scratch.set(root.0, 0);
-            deque.push_back((root.0, 0));
-
-            while let Some((u, du)) = deque.pop_front() {
-                if du > scratch.get(u) {
-                    continue; // stale entry: u was settled at a smaller distance
-                }
-                footprint.push(u);
                 let deg = self.g.in_degree(NodeId(u));
-                trace_out.begin_node(u, deg);
-                // The record is positionally valid only if the in-edge
-                // list is membership- and order-identical to capture time.
-                let rec = if redraw_node(u) {
-                    None
-                } else {
-                    tv.records
-                        .get(&u)
-                        .filter(|&&(d, _)| d as usize == deg)
-                        .copied()
-                };
+                if let Some(tb) = trace.as_deref_mut() {
+                    tb.begin_node(u, deg);
+                }
+                let record = replay.and_then(|r| Some((r, r.record(u, deg)?)));
                 for (i, (v, p)) in self.g.in_edges(NodeId(u)).enumerate() {
-                    let mut outcome = TRACE_NOT_DRAWN;
-                    if let Some((_, off)) = rec {
-                        if !redraw_edge(v.0, u) {
-                            outcome = tv.outcome(off, i);
-                        }
-                    }
+                    let mut outcome = match record {
+                        Some((r, off)) if !(r.redraw_edge)(v.0, u) => r.old.outcome(off, i),
+                        _ => TRACE_NOT_DRAWN,
+                    };
                     if outcome == TRACE_NOT_DRAWN {
+                        // Sample the three-way status on first (and only) touch.
                         let x: f64 = rng.random();
                         outcome = if x < p.base {
                             TRACE_LIVE
@@ -962,7 +850,9 @@ impl<'g> PrrGenerator<'g> {
                             TRACE_BLOCKED
                         };
                     }
-                    trace_out.record(i, outcome);
+                    if let Some(tb) = trace.as_deref_mut() {
+                        tb.record(i, outcome);
+                    }
                     if outcome == TRACE_BLOCKED {
                         continue; // blocked
                     }
@@ -1202,7 +1092,7 @@ impl<'g> PrrGenerator<'g> {
 /// This is the hash-based reference; the kernel path runs the
 /// stamped-scratch [`critical_from_scratch`] equivalent, whose output
 /// order (first occurrence in edge-scan order) is identical.
-pub fn critical_from_raw(raw: &RawPrr, n: usize, seed_mask: &BoostMask) -> Vec<NodeId> {
+pub fn critical_from_raw(raw: &RawPrr, seed_mask: &BoostMask) -> Vec<NodeId> {
     use std::collections::{HashMap, HashSet};
 
     // Build adjacency over the raw edge list (local, hash-based: raw graphs
@@ -1243,7 +1133,6 @@ pub fn critical_from_raw(raw: &RawPrr, n: usize, seed_mask: &BoostMask) -> Vec<N
         }
     }
 
-    let _ = n;
     let mut critical: Vec<NodeId> = Vec::new();
     let mut seen: HashSet<u32> = HashSet::new();
     for &(u, v, boost) in &raw.edges {
@@ -1581,7 +1470,7 @@ mod tests {
                 for root in [2u32, 7, 23] {
                     let mut rng_s = SmallRng::seed_from_u64(sseed * 1000 + root as u64);
                     let mut rng_k = rng_s.clone();
-                    let scalar = gen.phase1(NodeId(root), &mut rng_s, 2, None);
+                    let scalar = gen.phase1(NodeId(root), &mut rng_s, 2);
                     let kernel =
                         gen.phase1_kernel(soa, NodeId(root), &mut rng_k, 2, None, &mut scratch);
                     match (&scalar, &kernel) {
@@ -1723,7 +1612,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(21);
         let (mut fp0, mut tr0) = (Vec::new(), Vec::new());
         let (mut fp1, mut tr1) = (Vec::new(), Vec::new());
-        let mut checked = 0u32;
+        let (mut checked, mut reused, mut differ) = (0u32, 0u32, 0u32);
         for _ in 0..60 {
             let out = gen.sample_with_footprint_trace(&mut rng, &mut fp0, &mut tr0);
             if !matches!(out, PrrOutcome::Boostable(_)) {
@@ -1734,7 +1623,7 @@ mod tests {
             // forced fresh while all the others must be reused.
             let target = fp0[fp0.len() / 2];
             let mut replay_rng = SmallRng::seed_from_u64(4242);
-            let rep = gen.replay_with_footprint_trace(
+            gen.replay_with_footprint_trace(
                 &tr0,
                 &|u| u == target,
                 &|_, _| false,
@@ -1742,18 +1631,157 @@ mod tests {
                 &mut fp1,
                 &mut tr1,
             );
-            // The replay is a valid sample; if the redrawn coins happen to
-            // repeat the original outcomes, everything must round-trip.
-            if tr1 == tr0 {
-                assert_eq!(fp1, fp0);
-                match rep {
-                    PrrOutcome::Boostable(_) => {}
-                    _ => panic!("identical trace but different outcome"),
+            // Every coin both runs drew at a node other than the target
+            // is the recorded one.
+            let (old, new) = (TraceView::parse(&tr0), TraceView::parse(&tr1));
+            for (&u, &(deg, off)) in &new.records {
+                let Some(&(old_deg, old_off)) = old.records.get(&u) else {
+                    continue;
+                };
+                if u == target {
+                    continue;
+                }
+                assert_eq!(
+                    deg, old_deg,
+                    "in-degree of {u} changed on an unchanged graph"
+                );
+                for i in 0..deg as usize {
+                    let (was, now) = (old.outcome(old_off, i), new.outcome(off, i));
+                    if was != TRACE_NOT_DRAWN && now != TRACE_NOT_DRAWN {
+                        assert_eq!(was, now, "coin {i} of node {u} redrawn without a mutation");
+                        reused += 1;
+                    }
                 }
             }
+            differ += (tr1 != tr0) as u32;
             checked += 1;
         }
         assert!(checked > 10, "too few boostable samples to exercise replay");
+        assert!(reused > 0, "no reused coin compared");
+        assert!(differ > 0, "no replay differs from its original");
+    }
+
+    /// FNV-1a over little-endian `u32` words (independent of the standard
+    /// library's hasher).
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn words(&mut self, words: impl IntoIterator<Item = u32>) {
+            for w in words {
+                for b in w.to_le_bytes() {
+                    self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+
+        fn list(&mut self, words: &[u32]) {
+            self.words([words.len() as u32]);
+            self.words(words.iter().copied());
+        }
+
+        fn bytes(&mut self, bytes: &[u8]) {
+            self.words([bytes.len() as u32]);
+            self.words(bytes.iter().map(|&b| b as u32));
+        }
+
+        fn outcome(&mut self, out: &PrrOutcome) {
+            let c = match out {
+                PrrOutcome::Activated => return self.words([0]),
+                PrrOutcome::Hopeless => return self.words([1]),
+                PrrOutcome::Boostable(c) => c,
+            };
+            self.words([2, c.root, c.uncompressed_edges]);
+            for part in [&c.globals, &c.fwd_offsets, &c.fwd, &c.bwd_offsets, &c.bwd] {
+                self.list(part);
+            }
+            self.list(&c.critical.iter().map(|v| v.0).collect::<Vec<_>>());
+        }
+    }
+
+    /// Pins conditional replay bit for bit: which coins a replay reuses,
+    /// which it redraws and in what order. A fixed trace-mode pool (ER
+    /// graphs, stored and empty samples) is folded in, then every sample
+    /// is replayed on the unchanged graph under a node-level and an
+    /// edge-level redraw set, one seed per ordinal, through both the
+    /// per-graph route and the shard route; the digest covers every
+    /// outcome, footprint, trace, cover, RNG position and shard entry.
+    #[test]
+    fn replay_digest_is_pinned() {
+        use crate::arena::{PrrArena, PrrArenaShard};
+        let mut d = Fnv(0xcbf2_9ce4_8422_2325);
+        for gseed in 0..4u64 {
+            let g = er_graph(30, 120, gseed + 500);
+            let gen = PrrGenerator::new_scalar_oracle(&g, &[NodeId(0), NodeId(1)], 2);
+            let mut rng = SmallRng::seed_from_u64(gseed * 17 + 2);
+            let mut pool = Vec::new();
+            for _ in 0..60 {
+                let (mut fp, mut tr) = (Vec::new(), Vec::new());
+                d.outcome(&gen.sample_with_footprint_trace(&mut rng, &mut fp, &mut tr));
+                d.list(&fp);
+                d.bytes(&tr);
+                pool.push(tr);
+            }
+            // Pass 0 redraws whole nodes, pass 1 single edges.
+            for pass in 0..2u64 {
+                let redraw_node = |u: u32| pass == 0 && u % 5 == 2;
+                let redraw_edge = |v: u32, u: u32| pass == 1 && (v * 31 + u).is_multiple_of(7);
+                let mut shard = PrrArenaShard::new();
+                for (ordinal, old) in pool.iter().enumerate() {
+                    let seed = (gseed << 32) ^ (pass << 16) ^ ordinal as u64;
+                    let mut rng_graph = SmallRng::seed_from_u64(seed);
+                    let mut rng_shard = rng_graph.clone();
+                    let (mut fp, mut tr) = (Vec::new(), Vec::new());
+                    d.outcome(&gen.replay_with_footprint_trace(
+                        old,
+                        &redraw_node,
+                        &redraw_edge,
+                        &mut rng_graph,
+                        &mut fp,
+                        &mut tr,
+                    ));
+                    d.list(&fp);
+                    d.bytes(&tr);
+                    let cover = gen.replay_into_fp(
+                        old,
+                        &redraw_node,
+                        &redraw_edge,
+                        &mut rng_shard,
+                        &mut shard,
+                        FootprintMode::Trace,
+                    );
+                    d.list(&cover.iter().map(|v| v.0).collect::<Vec<_>>());
+                    let next = rng_graph.next_u64();
+                    assert_eq!(next, rng_shard.next_u64(), "replay routes drew differently");
+                    d.words([next as u32, (next >> 32) as u32]);
+                }
+                let arena = PrrArena::from_shard(shard);
+                d.words(
+                    [
+                        arena.len(),
+                        arena.num_empty_footprints(),
+                        arena.total_nodes(),
+                        arena.total_edges(),
+                        arena.total_critical(),
+                        arena.memory_bytes(),
+                    ]
+                    .map(|x| x as u32),
+                );
+                for (i, view) in arena.iter().enumerate() {
+                    let n = view.num_nodes() as u32;
+                    d.words([view.root_local(), view.uncompressed_edges(), n]);
+                    d.words((0..n).map(|l| view.global_of(l).map_or(u32::MAX, |v| v.0)));
+                    d.words(view.critical().iter().map(|v| v.0));
+                    view.for_each_boost_head(|v| d.words([v.0]));
+                    arena.footprints().for_each_node(i, |v| d.words([v]));
+                    d.bytes(arena.footprints().trace(i));
+                }
+                for i in 0..arena.num_empty_footprints() {
+                    arena.empty_footprints().for_each_node(i, |v| d.words([v]));
+                    d.bytes(arena.empty_footprints().trace(i));
+                }
+            }
+        }
+        assert_eq!(d.0, 0xd959_b5c7_e7a1_ffc9);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!
 //! * [`gen`] — Algorithm 1: backward 0-1 BFS from the root with status
 //!   sampling, distance pruning at `k`, and early classification into
-//!   *activated* / *hopeless* / *boostable*.
+//!   *activated* / *hopeless* / *boostable*. Two loops: the data-oriented
+//!   kernel, and the scalar loop that is its oracle and also captures
+//!   coin traces and replays them conditionally.
 //! * [`compress`] — Phase II: merge the live-reachable seed region into a
 //!   super-seed, remove nodes off all super-seed→root paths or beyond the
 //!   `k`-boost budget, and shortcut live-reaching nodes straight to the
@@ -22,8 +24,10 @@
 //! * [`source`] — [`SketchGenerator`](kboost_rrset::SketchGenerator)
 //!   adapters: the full source streams compressed PRR-graphs into arena
 //!   shards (PRR-Boost), the light source keeps only critical sets
-//!   (PRR-Boost-LB), and the legacy per-graph source survives as the
-//!   shard pipeline's equivalence oracle.
+//!   (PRR-Boost-LB), and the one legacy per-graph source, capturing
+//!   footprints and traces as its [`FootprintMode`] keeps them, survives
+//!   as the equivalence oracle of the shard pipeline and of the online
+//!   replay.
 //! * [`arena`] — flat shared storage for retained PRR-graph pools: one
 //!   `Vec` each of node tables, CSR offsets and packed edges, built in
 //!   per-chunk [`PrrArenaShard`]s during sampling and merged in chunk
@@ -58,7 +62,4 @@ pub use footprint::{FootprintColumn, FootprintMode, FootprintQuery, HYBRID_BLOOM
 pub use gen::{PrrGenerator, PrrOutcome, RawPrr};
 pub use graph::{CompressedPrr, PrrEvalScratch};
 pub use select::{greedy_delta_selection, greedy_delta_selection_naive, DeltaSelection, NodeIndex};
-pub use source::{
-    LegacyFpSource, LegacyPrrSource, LegacySample, LegacyTraceSample, LegacyTraceSource,
-    PrrFullSource, PrrLbSource,
-};
+pub use source::{LegacyPrrSource, LegacySample, PrrFullSource, PrrLbSource};

@@ -386,7 +386,7 @@ mod tests {
     fn arena_of(graphs: &[CompressedPrr]) -> PrrArena {
         let mut arena = PrrArena::new();
         for g in graphs {
-            arena.push(g);
+            arena.push(g, &[], &[], crate::FootprintMode::Off);
         }
         arena
     }

@@ -11,15 +11,19 @@
 //! * [`PrrLbSource`] keeps nothing beyond the cover, reproducing
 //!   PRR-Boost-LB's lower memory footprint and faster generation (phase-I
 //!   exploration is pruned at distance 1);
-//! * [`LegacyPrrSource`] retains one heap-allocated [`CompressedPrr`] per
-//!   boostable sample, the pre-shard storage model. It exists **only** as
-//!   the equivalence oracle: tests build both pools from the same seed and
-//!   assert the shard-built arena is byte-equal to the copy-built one. Do
-//!   not use it outside tests/benches.
+//! * [`LegacyPrrSource`] retains one [`LegacySample`] per sample — a
+//!   heap-allocated [`CompressedPrr`] per boostable sample, the pre-shard
+//!   storage model, plus the raw footprint and trace its
+//!   [`FootprintMode`] keeps. It exists **only** as the equivalence
+//!   oracle: tests build both pools from the same seed and assert the
+//!   shard-built arena is byte-equal to the one copied from the legacy
+//!   samples through [`PrrArena::push`], and the online replay oracle
+//!   (`kboost_online::rebuild_from_history`) keeps its pools in this
+//!   form. Do not use it outside tests/benches.
 //!
 //! [`PrrFullSource`] and [`PrrLbSource`] sample through the data-oriented
-//! phase-I kernel; the legacy sources always run the scalar loop. Since
-//! both pairs must produce identical bytes under a shared seed, every
+//! phase-I kernel; the legacy source always runs the scalar loop. Since
+//! both must produce identical bytes under a shared seed, every
 //! shard-vs-legacy test doubles as a continuous kernel-vs-oracle
 //! verification. The `scalar_oracle` constructors additionally expose
 //! scalar variants of the streaming sources for direct A/B comparison.
@@ -28,7 +32,7 @@ use kboost_graph::{DiGraph, NodeId};
 use kboost_rrset::sketch::SketchGenerator;
 use rand::rngs::SmallRng;
 
-use crate::arena::PrrArenaShard;
+use crate::arena::{PrrArena, PrrArenaShard};
 use crate::footprint::FootprintMode;
 use crate::gen::{PrrGenerator, PrrOutcome};
 use crate::graph::CompressedPrr;
@@ -158,137 +162,12 @@ impl SketchGenerator for PrrLbSource<'_> {
     }
 }
 
-/// Test-only equivalence oracle: the legacy per-graph storage model, one
-/// heap `CompressedPrr` per boostable sample.
-///
-/// Must draw the exact same randomness as [`PrrFullSource`] so that a pool
-/// sampled from either source with the same `(base_seed, target)` contains
-/// the same graphs in the same order — the shard-vs-legacy byte-equality
-/// tests depend on it.
-pub struct LegacyPrrSource<'g> {
-    generator: PrrGenerator<'g>,
-    n: usize,
-    candidates: usize,
-}
-
-impl<'g> LegacyPrrSource<'g> {
-    /// Creates the oracle source for `(G, S, k)`. Always samples through
-    /// the scalar loop (the per-graph entry points are oracle-only), so
-    /// no packed in-edge lane is built.
-    pub fn new(g: &'g DiGraph, seeds: &[NodeId], k: usize) -> Self {
-        LegacyPrrSource {
-            generator: PrrGenerator::new_scalar_oracle(g, seeds, k),
-            n: g.num_nodes(),
-            candidates: g.num_nodes().saturating_sub(seeds.len()),
-        }
-    }
-}
-
-impl SketchGenerator for LegacyPrrSource<'_> {
-    type Shard = Vec<CompressedPrr>;
-
-    fn universe(&self) -> usize {
-        self.n
-    }
-
-    fn num_candidates(&self) -> usize {
-        self.candidates
-    }
-
-    fn generate(&self, rng: &mut SmallRng, shard: &mut Vec<CompressedPrr>) -> Vec<NodeId> {
-        match self.generator.sample(rng) {
-            PrrOutcome::Activated | PrrOutcome::Hopeless => Vec::new(),
-            PrrOutcome::Boostable(c) => {
-                // Cover-less boostable graphs are stored too (matching the
-                // shard path): they contribute no sketch cover, but Δ̂ for
-                // a k ≥ 2 boost set that activates their root needs them.
-                let cover = c.critical().to_vec();
-                shard.push(c);
-                cover
-            }
-        }
-    }
-}
-
-/// One sample as the exact-staleness replay oracle retains it: the
-/// legacy per-graph payload (when stored) plus the raw sorted footprint
-/// of **every** sample, empty ones included.
+/// One sample as the legacy oracle retains it: the per-graph payload when
+/// stored, plus the raw footprint and trace of **every** sample, empty
+/// ones included — each left empty when the source's [`FootprintMode`]
+/// keeps none.
 #[derive(Clone, Debug)]
 pub enum LegacySample {
-    /// A boostable sample (cover-less ones included).
-    Stored {
-        /// The legacy per-graph payload.
-        graph: CompressedPrr,
-        /// Sorted, deduplicated expanded-node set.
-        footprint: Vec<u32>,
-    },
-    /// An activated / hopeless sample: counted, not stored —
-    /// but its footprint still determines when its slot must refresh.
-    Empty {
-        /// Sorted, deduplicated expanded-node set.
-        footprint: Vec<u32>,
-    },
-}
-
-/// Test-only equivalence oracle of the exact-staleness pipeline: the
-/// legacy per-graph storage model extended with per-sample footprints
-/// (see [`LegacySample`]). Draws the exact randomness of
-/// [`PrrFullSource`], so an oracle-replayed pool is byte-comparable to a
-/// footprint-retaining shard pool with the same `(base_seed, target)`.
-pub struct LegacyFpSource<'g> {
-    generator: PrrGenerator<'g>,
-    n: usize,
-    candidates: usize,
-}
-
-impl<'g> LegacyFpSource<'g> {
-    /// Creates the oracle source for `(G, S, k)`. Always samples through
-    /// the scalar loop (the per-graph entry points are oracle-only), so
-    /// no packed in-edge lane is built.
-    pub fn new(g: &'g DiGraph, seeds: &[NodeId], k: usize) -> Self {
-        LegacyFpSource {
-            generator: PrrGenerator::new_scalar_oracle(g, seeds, k),
-            n: g.num_nodes(),
-            candidates: g.num_nodes().saturating_sub(seeds.len()),
-        }
-    }
-}
-
-impl SketchGenerator for LegacyFpSource<'_> {
-    type Shard = Vec<LegacySample>;
-
-    fn universe(&self) -> usize {
-        self.n
-    }
-
-    fn num_candidates(&self) -> usize {
-        self.candidates
-    }
-
-    fn generate(&self, rng: &mut SmallRng, shard: &mut Vec<LegacySample>) -> Vec<NodeId> {
-        let mut footprint = Vec::new();
-        match self.generator.sample_with_footprint(rng, &mut footprint) {
-            PrrOutcome::Activated | PrrOutcome::Hopeless => {
-                shard.push(LegacySample::Empty { footprint });
-                Vec::new()
-            }
-            PrrOutcome::Boostable(c) => {
-                let cover = c.critical().to_vec();
-                shard.push(LegacySample::Stored {
-                    graph: c,
-                    footprint,
-                });
-                cover
-            }
-        }
-    }
-}
-
-/// One sample as the trace-retention replay oracle retains it: the
-/// [`LegacySample`] payload plus the sample's trace blob (queried-edge
-/// outcomes), for every sample — empties must be replayable too.
-#[derive(Clone, Debug)]
-pub enum LegacyTraceSample {
     /// A boostable sample (cover-less ones included).
     Stored {
         /// The legacy per-graph payload.
@@ -309,31 +188,101 @@ pub enum LegacyTraceSample {
     },
 }
 
-/// Test-only equivalence oracle of the trace-retention tier:
-/// [`LegacyFpSource`] extended with per-sample traces. Draws the exact
-/// randomness of every other source, so an oracle-replayed pool is
-/// byte-comparable to a [`FootprintMode::Trace`] shard pool with the same
-/// `(base_seed, target)`.
-pub struct LegacyTraceSource<'g> {
+impl LegacySample {
+    /// Wraps a per-graph outcome with what was captured alongside it.
+    pub fn new(out: PrrOutcome, footprint: Vec<u32>, trace: Vec<u8>) -> Self {
+        match out {
+            PrrOutcome::Boostable(graph) => LegacySample::Stored {
+                graph,
+                footprint,
+                trace,
+            },
+            PrrOutcome::Activated | PrrOutcome::Hopeless => {
+                LegacySample::Empty { footprint, trace }
+            }
+        }
+    }
+
+    /// The sample's retained footprint.
+    pub fn footprint(&self) -> &[u32] {
+        match self {
+            LegacySample::Stored { footprint, .. } | LegacySample::Empty { footprint, .. } => {
+                footprint
+            }
+        }
+    }
+
+    /// The sample's retained trace.
+    pub fn trace(&self) -> &[u8] {
+        match self {
+            LegacySample::Stored { trace, .. } | LegacySample::Empty { trace, .. } => trace,
+        }
+    }
+
+    /// Copies `samples` in order into a fresh arena through the
+    /// per-graph route: [`PrrArena::push`] for stored graphs,
+    /// [`PrrArena::push_empty`] for empty samples, with the footprints
+    /// and traces `mode` keeps.
+    pub fn arena(samples: &[LegacySample], mode: FootprintMode) -> PrrArena {
+        let mut arena = PrrArena::new();
+        for s in samples {
+            match s {
+                LegacySample::Stored {
+                    graph,
+                    footprint,
+                    trace,
+                } => arena.push(graph, footprint, trace, mode),
+                LegacySample::Empty { footprint, trace } => {
+                    arena.push_empty(footprint, trace, mode)
+                }
+            }
+        }
+        arena
+    }
+}
+
+/// Test-only equivalence oracle: the legacy per-graph storage model, one
+/// [`LegacySample`] per sample.
+///
+/// Must draw the exact same randomness as [`PrrFullSource`] so that a pool
+/// sampled from either source with the same `(base_seed, target)` contains
+/// the same graphs in the same order — the shard-vs-legacy byte-equality
+/// tests depend on it. Mirrors [`PrrFullSource`]'s constructors: a
+/// source's [`FootprintMode`] decides what each sample captures besides
+/// its graph (the footprint unless `Off`, the trace under `Trace`).
+pub struct LegacyPrrSource<'g> {
     generator: PrrGenerator<'g>,
     n: usize,
     candidates: usize,
+    mode: FootprintMode,
 }
 
-impl<'g> LegacyTraceSource<'g> {
-    /// Creates the oracle source for `(G, S, k)`. Always samples through
-    /// the scalar loop (trace capture is scalar-only).
+impl<'g> LegacyPrrSource<'g> {
+    /// Creates the oracle source for `(G, S, k)` without footprints.
     pub fn new(g: &'g DiGraph, seeds: &[NodeId], k: usize) -> Self {
-        LegacyTraceSource {
+        Self::with_footprints(g, seeds, k, FootprintMode::Off)
+    }
+
+    /// Creates the oracle source for `(G, S, k)` capturing what `mode`
+    /// keeps. Always samples through the scalar loop (the per-graph entry
+    /// points are oracle-only), so no packed in-edge lane is built.
+    pub fn with_footprints(
+        g: &'g DiGraph,
+        seeds: &[NodeId],
+        k: usize,
+        mode: FootprintMode,
+    ) -> Self {
+        LegacyPrrSource {
             generator: PrrGenerator::new_scalar_oracle(g, seeds, k),
             n: g.num_nodes(),
             candidates: g.num_nodes().saturating_sub(seeds.len()),
+            mode,
         }
     }
 }
 
-impl SketchGenerator for LegacyTraceSource<'_> {
-    type Shard = Vec<LegacyTraceSample>;
+impl SketchGenerator for LegacyPrrSource<'_> {
+    type Shard = Vec<LegacySample>;
 
     fn universe(&self) -> usize {
         self.n
@@ -343,27 +292,21 @@ impl SketchGenerator for LegacyTraceSource<'_> {
         self.candidates
     }
 
-    fn generate(&self, rng: &mut SmallRng, shard: &mut Vec<LegacyTraceSample>) -> Vec<NodeId> {
-        let mut footprint = Vec::new();
-        let mut trace = Vec::new();
-        match self
+    fn generate(&self, rng: &mut SmallRng, shard: &mut Vec<LegacySample>) -> Vec<NodeId> {
+        let (mut footprint, mut trace) = (Vec::new(), Vec::new());
+        let out = self
             .generator
-            .sample_with_footprint_trace(rng, &mut footprint, &mut trace)
-        {
-            PrrOutcome::Activated | PrrOutcome::Hopeless => {
-                shard.push(LegacyTraceSample::Empty { footprint, trace });
-                Vec::new()
-            }
-            PrrOutcome::Boostable(c) => {
-                let cover = c.critical().to_vec();
-                shard.push(LegacyTraceSample::Stored {
-                    graph: c,
-                    footprint,
-                    trace,
-                });
-                cover
-            }
-        }
+            .sample_with(rng, self.mode, &mut footprint, &mut trace);
+        let sample = LegacySample::new(out, footprint, trace);
+        // Cover-less boostable graphs are stored too (matching the shard
+        // path): they contribute no sketch cover, but Δ̂ for a k ≥ 2 boost
+        // set that activates their root needs them.
+        let cover = match &sample {
+            LegacySample::Stored { graph, .. } => graph.critical().to_vec(),
+            LegacySample::Empty { .. } => Vec::new(),
+        };
+        shard.push(sample);
+        cover
     }
 }
 
@@ -416,7 +359,7 @@ mod tests {
         let legacy = LegacyPrrSource::new(&g, &[NodeId(0)], 2);
         let mut ps: SketchPool<PrrArenaShard> = SketchPool::new(40, 3);
         ps.extend_to(&full, 50_000);
-        let mut pl: SketchPool<Vec<CompressedPrr>> = SketchPool::new(40, 3);
+        let mut pl: SketchPool<Vec<LegacySample>> = SketchPool::new(40, 3);
         pl.extend_to(&legacy, 50_000);
 
         assert_eq!(ps.total_samples(), pl.total_samples());
@@ -425,7 +368,7 @@ mod tests {
         let (_, shard, _, _) = ps.into_parts();
         let (_, payloads, _, _) = pl.into_parts();
         let shard_arena = PrrArena::from_shard(shard);
-        let legacy_arena = PrrArena::from_graphs(payloads);
+        let legacy_arena = LegacySample::arena(&payloads, FootprintMode::Off);
         assert!(shard_arena == legacy_arena, "arenas diverge");
         assert!(
             !shard_arena.is_empty(),

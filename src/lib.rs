@@ -122,7 +122,12 @@
 //! RR-set sampler in `rrset::ic`), with the original readable loop
 //! retained as a **scalar oracle** that the kernel must match
 //! byte-for-byte (`tests/sampler_kernel.rs` proves it across graph
-//! families, thread counts, footprint modes, and interruption points):
+//! families, thread counts, footprint modes, and interruption points).
+//! These are the only two phase-I loops: the scalar one also captures
+//! `ExactTrace` coin traces and runs conditional replay, which reuses an
+//! old trace's coins and draws the rest exactly where a fresh sample
+//! would. The legacy per-graph oracle ([`prr::LegacyPrrSource`]) and the
+//! online replay oracle built on it sample through the scalar loop too.
 //!
 //! * **Packed lane lifecycle**: [`graph::DiGraph::in_edge_soa`] builds
 //!   one 8-byte record per in-edge — the head and the 16-bit coin

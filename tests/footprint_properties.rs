@@ -24,7 +24,7 @@ use kboost::graph::generators::{
 use kboost::graph::probability::ProbabilityModel;
 use kboost::graph::{DiGraph, EdgeProbs, NodeId};
 use kboost::online::{MaintainerOptions, Mutation, PoolMaintainer, Staleness};
-use kboost::prr::{FootprintColumn, FootprintMode, FootprintQuery, LegacyFpSource, LegacySample};
+use kboost::prr::{FootprintColumn, FootprintMode, FootprintQuery, LegacyPrrSource, LegacySample};
 use kboost::rrset::sketch::SketchPool;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -312,13 +312,16 @@ fn staleness_queries_agree_across_modes_and_threads() {
             PoolMaintainer::build(g.clone(), vec![NodeId(0)], opts(staleness, threads)).unwrap()
         };
         let mut legacy: SketchPool<Vec<LegacySample>> = SketchPool::new(BASE_SEED, 1);
-        legacy.extend_to(&LegacyFpSource::new(&g, &[NodeId(0)], 2), SAMPLES);
+        legacy.extend_to(
+            &LegacyPrrSource::with_footprints(&g, &[NodeId(0)], 2, FootprintMode::Compressed),
+            SAMPLES,
+        );
         let (_, samples, _, _) = legacy.into_parts();
         let (mut stored, mut empty): (Vec<&[u32]>, Vec<&[u32]>) = (Vec::new(), Vec::new());
         for sample in &samples {
             match sample {
                 LegacySample::Stored { footprint, .. } => stored.push(footprint),
-                LegacySample::Empty { footprint } => empty.push(footprint),
+                LegacySample::Empty { footprint, .. } => empty.push(footprint),
             }
         }
         for batch_seed in [1u64, 7, 42] {
