@@ -100,6 +100,9 @@ fn parse_args() -> PerfOpts {
     opts
 }
 
+/// Alternating scalar/kernel rounds behind `kernel_speedup`.
+const SPEED_ROUNDS: usize = 9;
+
 /// One thread-count measurement of the shard pipeline.
 struct SweepPoint {
     threads: usize,
@@ -167,9 +170,29 @@ fn main() {
     // arena (shard ≡ legacy copy).
     let equiv_target = opts.samples.min(2_048);
     let mut legacy_pool: SketchPool<Vec<LegacySample>> = SketchPool::new(opts.seed, 1);
-    legacy_pool.extend_to(&LegacyPrrSource::new(&g, &seeds, opts.k), equiv_target);
+    let legacy_src =
+        LegacyPrrSource::with_footprints(&g, &seeds, opts.k, FootprintMode::Compressed);
+    legacy_pool.extend_to(&legacy_src, equiv_target);
     let (_, samples, _, _) = legacy_pool.into_parts();
     let legacy_arena = LegacySample::arena(&samples, FootprintMode::Off);
+    // Phase-I work counters over the same samples, from the footprints
+    // `sample_with_footprint` captures: the nodes whose in-lists phase I
+    // read, and the coins they drew (one per in-edge of each). Both are
+    // deterministic, so CI pins them exactly.
+    let per_sample = |total: usize| total as f64 / samples.len().max(1) as f64;
+    let phase1_nodes = per_sample(samples.iter().map(|s| s.footprint().len()).sum());
+    let phase1_coins = per_sample(
+        samples
+            .iter()
+            .flat_map(|s| s.footprint())
+            .map(|&v| g.in_degree(NodeId(v)))
+            .sum(),
+    );
+    eprintln!(
+        "phase I over the first {} samples: {phase1_nodes:.4} nodes read and \
+         {phase1_coins:.4} coins drawn per sample",
+        samples.len()
+    );
     for threads in [1usize, 7] {
         for mode in [
             FootprintMode::Off,
@@ -208,26 +231,37 @@ fn main() {
     );
 
     // Dedicated single-thread A/B: the same capped workload through the
-    // scalar loop and through the kernel, for the kernel_speedup figure.
+    // scalar oracle and through the kernel, alternated over several
+    // rounds. A round takes tens of milliseconds at smoke scale, where
+    // one pair is at the mercy of host noise, so kernel_speedup is the
+    // median of the per-round ratios (drift between rounds cancels within
+    // each pair).
     let speed_target = opts.samples.min(8_192);
     let scalar_src = PrrFullSource::scalar_oracle(&g, &seeds, opts.k, FootprintMode::Off);
-    let t = std::time::Instant::now();
-    let mut scalar_pool: SketchPool<PrrArenaShard> = SketchPool::new(opts.seed, 1);
-    scalar_pool.extend_to(&scalar_src, speed_target);
-    let scalar_secs = t.elapsed().as_secs_f64();
     let kernel_src = PrrFullSource::new(&g, &seeds, opts.k);
-    let t = std::time::Instant::now();
-    let mut kernel_pool: SketchPool<PrrArenaShard> = SketchPool::new(opts.seed, 1);
-    kernel_pool.extend_to(&kernel_src, speed_target);
-    let kernel_secs = t.elapsed().as_secs_f64();
-    let kernel_speedup = scalar_secs / kernel_secs.max(1e-9);
-    let ab_kernel_rate = speed_target as f64 / kernel_secs.max(1e-9);
+    let time_build = |src: &PrrFullSource| {
+        let t = std::time::Instant::now();
+        let mut pool: SketchPool<PrrArenaShard> = SketchPool::new(opts.seed, 1);
+        pool.extend_to(src, speed_target);
+        t.elapsed().as_secs_f64().max(1e-9)
+    };
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let rounds: Vec<(f64, f64)> = (0..SPEED_ROUNDS)
+        .map(|_| (time_build(&scalar_src), time_build(&kernel_src)))
+        .collect();
+    let kernel_speedup = median(rounds.iter().map(|&(s, k)| s / k).collect());
+    let scalar_secs = median(rounds.iter().map(|&(s, _)| s).collect());
+    let kernel_secs = median(rounds.iter().map(|&(_, k)| k).collect());
+    let ab_kernel_rate = speed_target as f64 / kernel_secs;
     eprintln!(
-        "single-thread A/B over {speed_target} samples: scalar {scalar_secs:.2}s \
-         ({:.1}/s) vs kernel {kernel_secs:.2}s ({ab_kernel_rate:.1}/s) → {kernel_speedup:.2}x",
-        speed_target as f64 / scalar_secs.max(1e-9),
+        "single-thread A/B over {speed_target} samples, median of {SPEED_ROUNDS} rounds: \
+         scalar {scalar_secs:.3}s ({:.1}/s) vs kernel {kernel_secs:.3}s \
+         ({ab_kernel_rate:.1}/s) → {kernel_speedup:.2}x",
+        speed_target as f64 / scalar_secs,
     );
-    drop((scalar_pool, kernel_pool));
 
     let mut sweep: Vec<SweepPoint> = Vec::new();
     let mut reference: Option<(kboost_engine::Engine, Solution)> = None;
@@ -372,6 +406,7 @@ fn main() {
          \"seed\": {},\n  \"nproc\": {},\n  \"single_core\": {},\n  \"samples\": {},\n  \
          \"boostable\": {},\n  \"arena_edges\": {},\n  \
          \"arena_bytes\": {},\n  \"delta_hat\": {:.4},\n  \
+         \"phase1_nodes_per_sample\": {:.4},\n  \"phase1_coins_per_sample\": {:.4},\n  \
          \"samples_per_sec_kernel\": {:.1},\n  \"kernel_speedup\": {:.4},\n  \
          \"thread_sweep\": [\n{}\n  ],\n  \
          \"deadline_curve\": [\n{}\n  ]\n}}\n",
@@ -387,6 +422,8 @@ fn main() {
         ref_pool.arena().total_edges(),
         ref_pool.memory_bytes(),
         delta_hat,
+        phase1_nodes,
+        phase1_coins,
         samples_per_sec_kernel,
         kernel_speedup,
         sweep_json.join(",\n"),

@@ -3,11 +3,11 @@
 //! Boostable PRR-graphs live in a flat [`PrrArena`] (single shared arrays,
 //! no per-graph allocation) that the sampling workers build incrementally
 //! as [`PrrArenaShard`]s — converting a finished sketch pool into a
-//! `PrrPool` is a move, not a copy. Both estimators sweep the arena with a
-//! deterministic parallel fan-out: the arena is split into contiguous
-//! graph ranges, each worker counts hits with its own scratch, and the
-//! per-range counts are summed — so estimates are exact counts,
-//! independent of the thread count.
+//! `PrrPool` is a move, not a copy. Both estimators count hits in one
+//! sweep of the arena on the calling thread, so estimates are exact
+//! counts, independent of the thread count. The batch evaluator fans out
+//! over contiguous graph ranges on large pools: each worker counts hits
+//! with its own scratch and the per-range counts are summed.
 
 use kboost_diffusion::sim::BoostMask;
 use kboost_graph::NodeId;
@@ -63,9 +63,8 @@ impl PrrPool {
     /// The pool's merged sampling shard *is* the arena — this constructor
     /// moves it, there is no copy stage. `n` is the host-graph node count;
     /// `threads` bounds the parallel fan-out of
-    /// [`delta_hat`](Self::delta_hat) / [`mu_hat`](Self::mu_hat). The
-    /// sketch covers are dropped — critical sets are stored once, in the
-    /// arena.
+    /// [`evaluate_many`](Self::evaluate_many). The sketch covers are
+    /// dropped — critical sets are stored once, in the arena.
     pub fn new(inner: SketchPool<PrrArenaShard>, n: usize, threads: usize) -> Self {
         let (_covers, shard, total, _cover_empties) = inner.into_parts();
         let arena = PrrArena::from_shard(shard);
@@ -184,39 +183,21 @@ impl PrrPool {
         self.arena.num_live()
     }
 
-    /// Counts live stored graphs satisfying `hit`, fanning out over
-    /// contiguous arena ranges. Deterministic: addition over disjoint
-    /// exact counts. Tombstoned graphs never count.
+    /// Counts live stored graphs satisfying `hit`. Tombstoned graphs
+    /// never count. Runs on the calling thread: a hit test costs a few
+    /// nanoseconds per graph, so a helper thread's start-up and cold
+    /// caches cost more than it saves at every pool size measured (on a
+    /// 2-vCPU Xeon, one `delta_hat` over 1,303 graphs took 0.003 ms on one
+    /// thread against 0.039 ms on two, and over 18,579 graphs 0.071
+    /// against 0.105 ms).
     fn count_hits<F>(&self, hit: F) -> u64
     where
-        F: Fn(PrrGraphView<'_>, &mut PrrEvalScratch) -> bool + Sync,
+        F: Fn(PrrGraphView<'_>, &mut PrrEvalScratch) -> bool,
     {
-        let num_graphs = self.arena.len();
-        let count_range = |range: std::ops::Range<usize>| -> u64 {
-            let mut scratch = PrrEvalScratch::default();
-            range
-                .filter(|&i| self.arena.is_live(i) && hit(self.arena.graph(i), &mut scratch))
-                .count() as u64
-        };
-        let workers = self.threads.min(num_graphs.max(1));
-        if workers <= 1 || num_graphs < 1024 {
-            return count_range(0..num_graphs);
-        }
-        let per = num_graphs.div_ceil(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let lo = (per * w).min(num_graphs);
-                    let hi = (lo + per).min(num_graphs);
-                    let count_range = &count_range;
-                    scope.spawn(move || count_range(lo..hi))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("estimator worker panicked"))
-                .sum()
-        })
+        let mut scratch = PrrEvalScratch::default();
+        (0..self.arena.len())
+            .filter(|&i| self.arena.is_live(i) && hit(self.arena.graph(i), &mut scratch))
+            .count() as u64
     }
 
     /// `Δ̂(B)`: the unbiased PRR estimate of the boost of influence.
@@ -250,9 +231,9 @@ impl PrrPool {
     /// small against `n`, so most graphs are settled by the two bitset
     /// unions alone.
     ///
-    /// The parallel fan-out mirrors [`delta_hat`](Self::delta_hat):
-    /// contiguous arena ranges, per-range exact hit counts summed in
-    /// range order — deterministic for any thread count.
+    /// Pools of 1,024 graphs or more fan out over contiguous arena
+    /// ranges, with per-range exact hit counts summed in range order —
+    /// deterministic for any thread count.
     pub fn evaluate_many(&self, candidates: &[Vec<NodeId>]) -> Vec<(f64, f64)> {
         self.evaluate_many_with(candidates, &mut EvalManyScratch::default())
     }
@@ -351,13 +332,19 @@ impl PrrPool {
             eval_range(0..num_graphs, &mut worker_scratch[0]);
         } else {
             let per = num_graphs.div_ceil(workers);
+            let range = |w: usize| {
+                let lo = (per * w).min(num_graphs);
+                lo..(lo + per).min(num_graphs)
+            };
+            // The calling thread evaluates the first range itself.
             std::thread::scope(|scope| {
-                for (w, ws) in worker_scratch.iter_mut().take(workers).enumerate() {
-                    let lo = (per * w).min(num_graphs);
-                    let hi = (lo + per).min(num_graphs);
+                let (first, rest) = worker_scratch.split_at_mut(1);
+                for (w, ws) in rest.iter_mut().take(workers - 1).enumerate() {
                     let eval_range = &eval_range;
-                    scope.spawn(move || eval_range(lo..hi, ws));
+                    let r = range(w + 1);
+                    scope.spawn(move || eval_range(r, ws));
                 }
+                eval_range(range(0), &mut first[0]);
             });
         }
         // Fold the per-worker exact hit counts into worker 0 — integer

@@ -1,7 +1,7 @@
 #[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
 
-use crate::NodeId;
+use crate::{BuildError, NodeId};
 
 /// The pair of influence probabilities attached to a directed edge `(u, v)`.
 ///
@@ -231,6 +231,66 @@ impl DiGraph {
         g
     }
 
+    /// Returns this graph with `updates` applied in order: `(u, v,
+    /// Some(probs))` inserts edge `(u, v)` or overwrites its pair, `(u, v,
+    /// None)` removes it (a no-op when absent), and a later update of the
+    /// same edge wins.
+    ///
+    /// The result equals what [`GraphBuilder`](crate::GraphBuilder) builds
+    /// from the updated edge set, with the same checks: an endpoint out of
+    /// range, a self-loop or an invalid pair that survives is an error.
+    /// Both CSR directions are merged with the sorted updates in one
+    /// sequential pass each, so the cost is `O(n + m)` copying plus
+    /// `O(|updates| log |updates|)`, with no per-edge hashing or sorting.
+    pub fn with_updates(
+        &self,
+        updates: &[(NodeId, NodeId, Option<EdgeProbs>)],
+    ) -> Result<DiGraph, BuildError> {
+        let n = self.n as usize;
+        for &(u, v, _) in updates {
+            for node in [u, v] {
+                if node.index() >= n {
+                    return Err(BuildError::NodeOutOfRange { node, n });
+                }
+            }
+            if u == v {
+                return Err(BuildError::SelfLoop { node: u });
+            }
+        }
+        // Latest first, then a stable sort: dedup keeps each edge's last
+        // update.
+        let mut out: Vec<(u32, u32, Option<EdgeProbs>)> = updates
+            .iter()
+            .rev()
+            .map(|&(u, v, p)| (u.0, v.0, p))
+            .collect();
+        out.sort_by_key(|&(u, v, _)| (u, v));
+        out.dedup_by_key(|&mut (u, v, _)| (u, v));
+        for &(_, _, p) in &out {
+            if let Some(p) = p {
+                EdgeProbs::new(p.base, p.boosted).ok_or(BuildError::InvalidProbability {
+                    base: p.base,
+                    boosted: p.boosted,
+                })?;
+            }
+        }
+        let mut inward: Vec<_> = out.iter().map(|&(u, v, p)| (v, u, p)).collect();
+        inward.sort_unstable_by_key(|&(v, u, _)| (v, u));
+        let (out_offsets, out_targets, out_probs) =
+            merge_rows(&self.out_offsets, &self.out_targets, &self.out_probs, &out);
+        let (in_offsets, in_sources, in_probs) =
+            merge_rows(&self.in_offsets, &self.in_sources, &self.in_probs, &inward);
+        Ok(DiGraph::from_parts(
+            self.n,
+            out_offsets,
+            out_targets,
+            out_probs,
+            in_offsets,
+            in_sources,
+            in_probs,
+        ))
+    }
+
     /// Approximate heap footprint of the CSR arrays in bytes.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -281,6 +341,60 @@ impl DiGraph {
                 .collect(),
         }
     }
+}
+
+/// One CSR direction (`offsets`, column ids sorted within each row, and
+/// their pairs) with `updates` merged in: `(row, col, Some(p))` sets entry
+/// `(row, col)` to `p`, `(row, col, None)` drops it. `updates` is sorted
+/// by `(row, col)` with one entry per pair. The old entries between two
+/// updates are copied as one run, whatever rows they span.
+fn merge_rows(
+    offsets: &[u32],
+    cols: &[u32],
+    probs: &[EdgeProbs],
+    updates: &[(u32, u32, Option<EdgeProbs>)],
+) -> (Vec<u32>, Vec<u32>, Vec<EdgeProbs>) {
+    let inserts = updates.iter().filter(|u| u.2.is_some()).count();
+    let mut new_offsets = Vec::with_capacity(offsets.len());
+    let mut new_cols = Vec::with_capacity(cols.len() + inserts);
+    let mut new_probs = Vec::with_capacity(cols.len() + inserts);
+    // Rows below `next_row` have their new offset; `copied` old entries
+    // are consumed; `shift` is the entry-count change of the rows so far.
+    let (mut next_row, mut copied, mut shift) = (0usize, 0usize, 0i64);
+    for &(row, col, p) in updates {
+        let row = row as usize;
+        new_offsets.extend(
+            offsets[next_row..=row]
+                .iter()
+                .map(|&o| (i64::from(o) + shift) as u32),
+        );
+        next_row = row + 1;
+        let (start, end) = (
+            (offsets[row] as usize).max(copied),
+            offsets[row + 1] as usize,
+        );
+        let at = start + cols[start..end].partition_point(|&c| c < col);
+        new_cols.extend_from_slice(&cols[copied..at]);
+        new_probs.extend_from_slice(&probs[copied..at]);
+        copied = at;
+        if at < end && cols[at] == col {
+            copied += 1;
+            shift -= 1;
+        }
+        if let Some(p) = p {
+            new_cols.push(col);
+            new_probs.push(p);
+            shift += 1;
+        }
+    }
+    new_offsets.extend(
+        offsets[next_row..]
+            .iter()
+            .map(|&o| (i64::from(o) + shift) as u32),
+    );
+    new_cols.extend_from_slice(&cols[copied..]);
+    new_probs.extend_from_slice(&probs[copied..]);
+    (new_offsets, new_cols, new_probs)
 }
 
 /// The hot lane of the phase-I kernel: one 8-byte [`PackedInEdge`] per
@@ -445,6 +559,109 @@ mod tests {
         assert!((fwd.base - 0.25).abs() < 1e-12);
         let rev = g.in_edges(NodeId(1)).next().unwrap().1;
         assert_eq!(rev, fwd);
+    }
+
+    /// Every CSR array of `with_updates` equals the builder's output on the
+    /// updated edge set, kept as a map with the last update per edge
+    /// winning: random graphs from empty to dense, batches with repeated
+    /// edges, re-insertions, removals of absent edges and updates on the
+    /// first and last node.
+    #[test]
+    fn with_updates_matches_builder() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+
+        fn build(n: usize, edges: &BTreeMap<(u32, u32), EdgeProbs>) -> DiGraph {
+            let mut b = GraphBuilder::new(n);
+            for (&(u, v), p) in edges {
+                b.add_edge(NodeId(u), NodeId(v), p.base, p.boosted).unwrap();
+            }
+            b.build().unwrap()
+        }
+        let mut rng = SmallRng::seed_from_u64(0xC5_12);
+        for case in 0..400 {
+            let n = 2 + case % 23;
+            let pair = |rng: &mut SmallRng| loop {
+                let (u, v) = (rng.random_range(0..n as u32), rng.random_range(0..n as u32));
+                if u != v {
+                    return (u, v);
+                }
+            };
+            let probs = |rng: &mut SmallRng| {
+                let p: f64 = rng.random();
+                EdgeProbs::new(p, p + (1.0 - p) * rng.random::<f64>()).unwrap()
+            };
+            let mut edges = BTreeMap::new();
+            for _ in 0..rng.random_range(0..3 * n) {
+                let e = pair(&mut rng);
+                edges.insert(e, probs(&mut rng));
+            }
+            let g = build(n, &edges);
+            let present: Vec<(u32, u32)> = edges.keys().copied().collect();
+            let mut updates = Vec::new();
+            for _ in 0..rng.random_range(0..2 * n) {
+                let (u, v) = match rng.random_range(0..4) {
+                    0 if !present.is_empty() => present[rng.random_range(0..present.len())],
+                    1 => (0, n as u32 - 1),
+                    2 => (n as u32 - 1, 0),
+                    _ => pair(&mut rng),
+                };
+                let p = rng.random_bool(0.5).then(|| probs(&mut rng));
+                match p {
+                    Some(p) => edges.insert((u, v), p),
+                    None => edges.remove(&(u, v)),
+                };
+                updates.push((NodeId(u), NodeId(v), p));
+            }
+            let got = g.with_updates(&updates).unwrap();
+            let want = build(n, &edges);
+            assert_eq!(got.n, want.n, "case {case}");
+            assert_eq!(got.out_offsets, want.out_offsets, "case {case}");
+            assert_eq!(got.out_targets, want.out_targets, "case {case}");
+            assert_eq!(got.out_probs, want.out_probs, "case {case}");
+            assert_eq!(got.in_offsets, want.in_offsets, "case {case}");
+            assert_eq!(got.in_sources, want.in_sources, "case {case}");
+            assert_eq!(got.in_probs, want.in_probs, "case {case}");
+        }
+    }
+
+    #[test]
+    fn with_updates_rejects_what_the_builder_rejects() {
+        let g = diamond();
+        let p = EdgeProbs::new(0.1, 0.2);
+        assert_eq!(
+            g.with_updates(&[(NodeId(0), NodeId(4), p)]).unwrap_err(),
+            BuildError::NodeOutOfRange {
+                node: NodeId(4),
+                n: 4
+            }
+        );
+        assert_eq!(
+            g.with_updates(&[(NodeId(2), NodeId(2), None)]).unwrap_err(),
+            BuildError::SelfLoop { node: NodeId(2) }
+        );
+        // An invalid pair is an error only if it survives the batch.
+        let bad = EdgeProbs {
+            base: 0.5,
+            boosted: 0.4,
+        };
+        assert_eq!(
+            g.with_updates(&[(NodeId(3), NodeId(0), Some(bad))])
+                .unwrap_err(),
+            BuildError::InvalidProbability {
+                base: 0.5,
+                boosted: 0.4
+            }
+        );
+        let g2 = g
+            .with_updates(&[
+                (NodeId(3), NodeId(0), Some(bad)),
+                (NodeId(3), NodeId(0), None),
+            ])
+            .unwrap();
+        assert_eq!(g2.num_edges(), 4);
+        assert!(!g2.has_edge(NodeId(3), NodeId(0)));
     }
 
     #[test]

@@ -47,44 +47,43 @@ impl From<BuildError> for IoError {
 }
 
 /// Reads a graph from any reader in the edge-list format.
+///
+/// Lines are read into one reused buffer, so parsing allocates nothing
+/// per line.
 pub fn read_edge_list<R: Read>(reader: R) -> Result<DiGraph, IoError> {
-    let mut lines = BufReader::new(reader).lines();
+    let mut reader = BufReader::new(reader);
+    let mut line = String::new();
     let mut line_no = 0usize;
-
-    let header = loop {
-        line_no += 1;
-        match lines.next() {
-            None => {
-                return Err(IoError::Parse {
-                    line: line_no,
-                    message: "missing header line `n m`".to_string(),
-                })
+    // Reads the next line that is neither blank nor a comment into `line`
+    // (counting every line read); false at the end of the input.
+    let mut next_line = |line: &mut String, line_no: &mut usize| -> Result<bool, IoError> {
+        loop {
+            line.clear();
+            if reader.read_line(line)? == 0 {
+                return Ok(false);
             }
-            Some(line) => {
-                let line = line?;
-                let trimmed = line.trim();
-                if trimmed.is_empty() || trimmed.starts_with('#') {
-                    continue;
-                }
-                break trimmed.to_string();
+            *line_no += 1;
+            let trimmed = line.trim();
+            if !trimmed.is_empty() && !trimmed.starts_with('#') {
+                return Ok(true);
             }
         }
     };
 
-    let mut parts = header.split_whitespace();
+    if !next_line(&mut line, &mut line_no)? {
+        return Err(IoError::Parse {
+            line: line_no + 1,
+            message: "missing header line `n m`".to_string(),
+        });
+    }
+    let mut parts = line.split_whitespace();
     let n: usize = parse_field(&mut parts, line_no, "n")?;
     let m: usize = parse_field(&mut parts, line_no, "m")?;
 
     let mut builder = GraphBuilder::with_capacity(n, m);
     let mut read_edges = 0usize;
-    for line in lines {
-        line_no += 1;
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let mut parts = trimmed.split_whitespace();
+    while next_line(&mut line, &mut line_no)? {
+        let mut parts = line.split_whitespace();
         let u: u32 = parse_field(&mut parts, line_no, "u")?;
         let v: u32 = parse_field(&mut parts, line_no, "v")?;
         let p: f64 = parse_field(&mut parts, line_no, "p")?;
@@ -180,6 +179,19 @@ mod tests {
     fn edge_count_mismatch_is_error() {
         let err = read_edge_list("2 2\n0 1 0.1 0.2\n".as_bytes()).unwrap_err();
         assert!(matches!(err, IoError::Parse { .. }));
+    }
+
+    #[test]
+    fn parse_error_reports_the_line_after_comments_and_blanks() {
+        let text = "# header below\n\n3 2\n0 1 0.5 0.75\n\n# next edge is bad\n   \n1 2 x 0.5\n";
+        let err = read_edge_list(text.as_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, IoError::Parse { line: 8, message } if message.contains("`p`")),
+            "{err}"
+        );
+        // CRLF line ends count the same lines.
+        let err = read_edge_list(text.replace('\n', "\r\n").as_bytes()).unwrap_err();
+        assert!(matches!(err, IoError::Parse { line: 8, .. }), "{err}");
     }
 
     #[test]

@@ -58,8 +58,8 @@
 //! * **`ExactCompressed`** — sampling retains each sample's *edge-space
 //!   footprint* (the set of nodes whose in-edge lists phase I enumerated
 //!   — see `kboost_prr::footprint`), for stored graphs **and** empty
-//!   samples, as delta-varint blobs interned through a per-column
-//!   dictionary (identical footprints — which dominate at pool scale —
+//!   samples, as delta-varint blobs whose long ones are interned per
+//!   column (identical long footprints — which dominate at pool scale —
 //!   are stored once). A mutation of edge `(u, v)` invalidates exactly
 //!   the samples whose footprint contains the head `v` — the samples
 //!   whose generation actually queried the mutated slot. Retained

@@ -72,7 +72,7 @@ pub enum Staleness {
     /// Match mutated edge *heads* against the exact per-sample edge-space
     /// footprint (expanded-node set) retained at sampling time for
     /// **every** sample, empty ones included, stored as delta-varint
-    /// blobs behind an interning dictionary
+    /// blobs, long ones interned
     /// ([`FootprintMode::Compressed`]). Detection is exact and
     /// index-driven (the blobs decode): a sample is refreshed iff its
     /// generation queried a mutated edge's slot, so every retained sample
@@ -114,8 +114,8 @@ pub enum Staleness {
     /// **distribution-fresh** under partial churn — identical in law to
     /// a from-scratch pool over the new graph — closing the
     /// unconditioned-redraw caveat the other exact tiers document. The
-    /// cost is the trace sidecar's memory and a scalar (non-kernel)
-    /// sampling path.
+    /// cost is the trace sidecar's memory and scalar (non-lane) coins for
+    /// the replay's fresh draws.
     ExactTrace,
 }
 

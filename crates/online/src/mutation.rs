@@ -14,9 +14,7 @@
 //! initial pool build. [`apply_mutations`] is the pure graph-rebuild both
 //! the incremental maintainer and the replay oracle share.
 
-use std::collections::HashMap;
-
-use kboost_graph::{DiGraph, EdgeProbs, GraphBuilder, NodeId};
+use kboost_graph::{DiGraph, EdgeProbs, NodeId};
 
 use crate::error::MutationError;
 
@@ -127,9 +125,10 @@ impl MutationLog {
 
 /// Ingress validation of a mutation batch against the fixed node
 /// universe `0..n`: every endpoint must be in range and no mutation may
-/// reference a self-loop (the same rules [`GraphBuilder`] enforces
-/// everywhere). The first offending mutation is reported; a batch that
-/// validates can never make [`apply_mutations`] fail.
+/// reference a self-loop (the same rules
+/// [`GraphBuilder`](kboost_graph::GraphBuilder) enforces everywhere). The
+/// first offending mutation is reported; a batch that validates can never
+/// make [`apply_mutations`] fail.
 pub fn validate_mutations(n: usize, batch: &[Mutation]) -> Result<(), MutationError> {
     for m in batch {
         let (from, to) = m.endpoints();
@@ -148,10 +147,12 @@ pub fn validate_mutations(n: usize, batch: &[Mutation]) -> Result<(), MutationEr
 /// Applies a mutation batch to a graph, producing the next epoch's graph.
 ///
 /// Pure and deterministic: the result depends only on the input graph and
-/// the batch (mutations apply in order; [`GraphBuilder`] canonicalizes the
-/// edge order). Cost is `O(m + |batch|)` — the CSR is immutable, so an
-/// epoch rebuilds it once, which is far below the resampling cost the
-/// maintainer saves.
+/// the batch (mutations apply in order, the last one on an edge wins, and
+/// the CSR order is canonical). The CSR is immutable, so an epoch builds
+/// a new one: [`DiGraph::with_updates`] merges the batch into both
+/// directions in sequential passes, `O(n + m)` copying plus
+/// `O(|batch| log |batch|)`, far below the resampling cost the maintainer
+/// saves.
 ///
 /// Malformed batches (out-of-range endpoints, self-loops) are rejected
 /// with a typed [`MutationError`] by [`validate_mutations`] before the
@@ -159,48 +160,20 @@ pub fn validate_mutations(n: usize, batch: &[Mutation]) -> Result<(), MutationEr
 /// down a serving maintainer.
 pub fn apply_mutations(g: &DiGraph, batch: &[Mutation]) -> Result<DiGraph, MutationError> {
     validate_mutations(g.num_nodes(), batch)?;
-    let mut edges: Vec<(NodeId, NodeId, EdgeProbs)> = g.edges().collect();
-    let mut removed: Vec<bool> = vec![false; edges.len()];
-    let mut index: HashMap<(u32, u32), usize> = edges
+    let updates: Vec<_> = batch
         .iter()
-        .enumerate()
-        .map(|(i, &(u, v, _))| ((u.0, v.0), i))
+        .map(|m| match *m {
+            Mutation::Upsert { from, to, probs } => (from, to, Some(probs)),
+            Mutation::Remove { from, to } => (from, to, None),
+        })
         .collect();
-
-    for m in batch {
-        match *m {
-            Mutation::Upsert { from, to, probs } => match index.get(&(from.0, to.0)) {
-                Some(&i) => {
-                    edges[i].2 = probs;
-                    removed[i] = false; // re-inserting a removed edge
-                }
-                None => {
-                    index.insert((from.0, to.0), edges.len());
-                    edges.push((from, to, probs));
-                    removed.push(false);
-                }
-            },
-            Mutation::Remove { from, to } => {
-                if let Some(&i) = index.get(&(from.0, to.0)) {
-                    removed[i] = true;
-                }
-            }
-        }
-    }
-
-    let mut b = GraphBuilder::with_capacity(g.num_nodes(), edges.len());
-    for (i, &(u, v, p)) in edges.iter().enumerate() {
-        if !removed[i] {
-            b.add_edge(u, v, p.base, p.boosted)
-                .map_err(MutationError::Rebuild)?;
-        }
-    }
-    b.build().map_err(MutationError::Rebuild)
+    g.with_updates(&updates).map_err(MutationError::Rebuild)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kboost_graph::GraphBuilder;
 
     fn probs(p: f64, pb: f64) -> EdgeProbs {
         EdgeProbs::new(p, pb).unwrap()

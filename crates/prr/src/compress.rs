@@ -17,6 +17,15 @@
 //! so `C_R` is exactly the heads of super-seed edges that live-reach the
 //! root.
 //!
+//! Phase I ([`gen`](crate::gen)) already stops at `X`: it hands over only
+//! the in-edges of nodes it proved outside `X` within the budget, and
+//! lists the `X` nodes among their tails as the seeds. Step 1 then merges
+//! exactly those tails, and the stored `uncompressed` edge count counts that
+//! pruned raw graph, not the region behind `X` the full search used to
+//! emit. The core works on any raw graph, so the reference full BFS of
+//! the tests (real seeds, `X` closed over live edges here) compresses to
+//! the same graph.
+//!
 //! # Output-sensitive core
 //!
 //! A boostable raw graph can span most of the host graph while its
@@ -79,7 +88,7 @@ const IN_X: u32 = u32::MAX - 1;
 const SUPER_F: u32 = 0;
 const ROOT_F: u32 = 1;
 
-/// Packed local-edge encoding shared with the phase-I kernel: an edge
+/// Packed local-edge encoding shared with phase I: an edge
 /// `(from, to, is_boost)` in raw-local ids is stored as
 /// `(from, to | LEDGE_BOOST * is_boost)`. Local ids stay below 2³¹ (they
 /// index nodes of one PRR sample), so bit 31 of the head is free.
@@ -92,7 +101,7 @@ pub(crate) const LEDGE_MASK: u32 = LEDGE_BOOST - 1;
 /// [`PrrArenaShard`](crate::arena::PrrArenaShard), while the single-graph
 /// oracle path materializes it as a [`CompressedPrr`]. Adjacency is stored
 /// in CSR form (`adj_off` has `globals.len() + 1` entries, `adj_off[0] ==
-/// 0`) so the kernel path can reuse one `CompressedParts` across samples
+/// 0`) so the shard path can reuse one `CompressedParts` across samples
 /// without per-node `Vec`s.
 #[derive(Default, Debug, PartialEq)]
 pub(crate) struct CompressedParts {
@@ -106,7 +115,7 @@ pub(crate) struct CompressedParts {
     pub adj: Vec<(u32, bool)>,
     /// Critical nodes `C_R` (global ids).
     pub critical: Vec<NodeId>,
-    /// Phase-I edge count before compression.
+    /// Edge count of the raw graph phase I handed over.
     pub uncompressed: u32,
 }
 
@@ -125,10 +134,10 @@ impl CompressedParts {
 /// Reusable phase-II working state; one per thread, reused across samples.
 ///
 /// The localization half (`gstamp`/`glocal`/`nodes`/`ledges`/
-/// `seed_locals`) is only exercised by the scalar path
-/// ([`compress_parts_into`]): the kernel emits raw-local ids straight out
-/// of phase I and enters through [`compress_locals_into`], which skips the
-/// global→local assign pass entirely and uses just the [`FScratch`].
+/// `seed_locals`) is only exercised by the global-id path
+/// ([`compress_parts`]): phase I emits raw-local ids itself and
+/// enters through [`compress_locals_into`], which skips the global→local
+/// assign pass entirely and uses just the [`FScratch`].
 #[derive(Default)]
 struct CompressScratch {
     // Epoch-stamped global → raw-local id map, grown on demand to cover
@@ -195,7 +204,7 @@ thread_local! {
 /// hopeless.
 ///
 /// The sampling hot path does not go through this function: it uses
-/// [`compress_parts_into`] and appends directly into an arena shard.
+/// [`compress_locals_into`] and appends directly into an arena shard.
 ///
 /// # Panics
 ///
@@ -204,87 +213,78 @@ pub fn compress(raw: &RawPrr, k: usize) -> Option<CompressedPrr> {
     compress_parts(raw, k).map(CompressedPrr::from_parts)
 }
 
-/// Phase-II compression into a freshly allocated [`CompressedParts`] —
-/// the single-sample convenience wrapper over [`compress_parts_into`].
+/// Phase-II compression over *global*-id phase-I output into a freshly
+/// allocated [`CompressedParts`] (`None` when the graph is non-boostable
+/// within budget `k`): localizes the edge/seed lists through the
+/// epoch-stamped map — local ids by first appearance, root first — then
+/// runs the shared core.
+///
+/// The sampling path skips this localization: phase I assigns local ids
+/// as it touches nodes and enters through [`compress_locals_into`]. The
+/// two orders differ, so the same sample compresses to the same graph up
+/// to the order of its local ids.
 pub(crate) fn compress_parts(raw: &RawPrr, k: usize) -> Option<CompressedParts> {
     let mut parts = CompressedParts::default();
-    compress_parts_into(raw.root, &raw.edges, &raw.seeds, k, &mut parts).then_some(parts)
+    CSCRATCH
+        .with_borrow_mut(|s| {
+            s.round += 1;
+            if s.round == u32::MAX {
+                s.gstamp.fill(0);
+                s.round = 1;
+            }
+            let round = s.round;
+            let CompressScratch {
+                gstamp,
+                glocal,
+                round: _,
+                nodes,
+                ledges,
+                seed_locals,
+                core,
+            } = s;
+
+            // Local ids by first appearance (root, then each edge's endpoints
+            // in scan order) via the epoch-stamped map — the same order the
+            // historical HashMap entry API produced.
+            nodes.clear();
+            ledges.clear();
+            seed_locals.clear();
+            let mut assign = |g: u32| -> u32 {
+                let gi = g as usize;
+                if gi >= gstamp.len() {
+                    gstamp.resize(gi + 1, 0);
+                    glocal.resize(gi + 1, 0);
+                }
+                if gstamp[gi] != round {
+                    gstamp[gi] = round;
+                    glocal[gi] = nodes.len() as u32;
+                    nodes.push(g);
+                }
+                glocal[gi]
+            };
+            let root_l = assign(raw.root);
+            debug_assert_eq!(root_l, 0, "root is always the first local id");
+            for &(u, v, b) in &raw.edges {
+                let ul = assign(u);
+                let vl = assign(v);
+                ledges.push((ul, vl | if b { LEDGE_BOOST } else { 0 }));
+            }
+            for &g in &raw.seeds {
+                seed_locals.push(assign(g));
+            }
+            compress_core(nodes, ledges, seed_locals, k, &mut parts, core)
+        })
+        .then_some(parts)
 }
 
-/// Phase-II compression over *global*-id phase-I output: localizes the
-/// edge/seed lists through the epoch-stamped map, then runs the shared
-/// core. Compresses into `parts` (cleared first), returning `false` when
-/// the graph is non-boostable within budget `k` (in which case `parts`
-/// holds no meaningful content). Thread-local scratch makes repeated calls
-/// allocation-free.
-///
-/// The sampling hot path skips this localization: the phase-I kernel
-/// assigns local ids during its BFS (the first-touch order provably
-/// equals the first-appearance order this assign pass would produce) and
-/// enters through [`compress_locals_into`].
-pub(crate) fn compress_parts_into(
-    root: u32,
-    redges: &[(u32, u32, bool)],
-    rseeds: &[u32],
-    k: usize,
-    parts: &mut CompressedParts,
-) -> bool {
-    CSCRATCH.with_borrow_mut(|s| {
-        s.round += 1;
-        if s.round == u32::MAX {
-            s.gstamp.fill(0);
-            s.round = 1;
-        }
-        let round = s.round;
-        let CompressScratch {
-            gstamp,
-            glocal,
-            round: _,
-            nodes,
-            ledges,
-            seed_locals,
-            core,
-        } = s;
-
-        // Local ids by first appearance (root, then each edge's endpoints
-        // in scan order) via the epoch-stamped map — the same order the
-        // historical HashMap entry API produced.
-        nodes.clear();
-        ledges.clear();
-        seed_locals.clear();
-        let mut assign = |g: u32| -> u32 {
-            let gi = g as usize;
-            if gi >= gstamp.len() {
-                gstamp.resize(gi + 1, 0);
-                glocal.resize(gi + 1, 0);
-            }
-            if gstamp[gi] != round {
-                gstamp[gi] = round;
-                glocal[gi] = nodes.len() as u32;
-                nodes.push(g);
-            }
-            glocal[gi]
-        };
-        let root_l = assign(root);
-        debug_assert_eq!(root_l, 0, "root is always the first local id");
-        for &(u, v, b) in redges {
-            let ul = assign(u);
-            let vl = assign(v);
-            ledges.push((ul, vl | if b { LEDGE_BOOST } else { 0 }));
-        }
-        for &g in rseeds {
-            seed_locals.push(assign(g));
-        }
-        compress_core(nodes, ledges, seed_locals, k, parts, core)
-    })
-}
-
-/// Phase-II compression over *local*-id phase-I output — the kernel fast
+/// Phase-II compression over *local*-id phase-I output — the sampling
 /// path. `globals` maps raw-local → global ids with the root at index 0,
-/// `ledges` is the packed [`LEDGE_BOOST`] edge list, and `lseeds` the
-/// discovered seeds, all exactly as the phase-I kernel leaves them in its
-/// scratch. Output-identical to routing the same sample through
-/// [`compress_parts_into`] (the kernel equivalence suites pin this).
+/// `ledges` is the packed [`LEDGE_BOOST`] edge list, and `lseeds` the `X`
+/// nodes to merge, all exactly as phase I leaves them in its scratch.
+/// Compresses into `parts` (cleared first), returning `false` when the
+/// graph is non-boostable within budget `k` (in which case `parts` holds
+/// no meaningful content). Thread-local scratch makes repeated calls
+/// allocation-free.
 pub(crate) fn compress_locals_into(
     globals: &[u32],
     ledges: &[(u32, u32)],
@@ -329,9 +329,8 @@ fn zero_one_bfs_csr(
     }
 }
 
-/// The output-sensitive core (see the module docs). Raw-local ids are
-/// first-appearance ordered with the root at 0 — guaranteed by both the
-/// scalar localization and the phase-I kernel.
+/// The output-sensitive core (see the module docs). The root is raw-local
+/// id 0; the order of the other ids only orders the output's.
 fn compress_core(
     nodes: &[u32],
     ledges: &[(u32, u32)],
@@ -563,8 +562,9 @@ fn compress_core(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{raw_f, PrrGenerator};
+    use crate::gen::{raw_f, scalar_coin, PrrGenerator};
     use crate::graph::PrrEvalScratch;
+    use crate::reference;
     use kboost_diffusion::sim::BoostMask;
     use kboost_graph::generators::{erdos_renyi, preferential_attachment};
     use kboost_graph::probability::ProbabilityModel;
@@ -707,9 +707,11 @@ mod tests {
             }
         }
 
-        /// Draws `samples` random roots through phase I pruned at `k_gen`
-        /// and folds in every field of each raw graph's compression at
-        /// each of `budgets`, non-boostable results included.
+        /// Draws `samples` random roots through the reference full BFS
+        /// (the phase I the constant was computed with) pruned at `k_gen`,
+        /// one `rng.random()` per coin, and folds in every field of each
+        /// raw graph's compression at each of `budgets`, non-boostable
+        /// results included.
         fn fold(
             &mut self,
             g: &DiGraph,
@@ -718,10 +720,13 @@ mod tests {
             samples: usize,
             rng: &mut SmallRng,
         ) {
-            let generator = PrrGenerator::new_scalar_oracle(g, seeds, k_gen);
+            let (mask, probs) = (BoostMask::from_nodes(g.num_nodes(), seeds), g.in_probs());
             for _ in 0..samples {
                 let root = NodeId(rng.random_range(0..g.num_nodes() as u32));
-                let Some(raw) = generator.phase1_raw(root, rng) else {
+                let coin = |e: usize| scalar_coin(rng, probs[e]);
+                let reference::Phase1::Raw(raw) =
+                    reference::phase1(g, &mask, root, k_gen as u32, coin, &mut Vec::new())
+                else {
                     continue;
                 };
                 for &k in budgets {

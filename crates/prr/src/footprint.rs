@@ -19,15 +19,17 @@
 //! Three retention tiers trade memory against decode cost:
 //!
 //! * [`Compressed`](FootprintMode::Compressed) — delta-encoded varints
-//!   over the sorted ids, **interned**: footprint sizes are heavily
-//!   skewed because big in-components are shared across samples, so
-//!   identical encoded blobs are stored once in a per-column dictionary
-//!   and entries reference them by id. Exact.
+//!   over the sorted ids. Footprint sizes are heavily skewed: long ones
+//!   are shared across samples (big in-components), short ones are the
+//!   few nodes of a sample that stops near its root. So long encoded
+//!   blobs are **interned** (stored once, entries reference them by
+//!   offset) and short ones are stored per entry, where an interner
+//!   slot would cost more than the repeats it saves. Exact.
 //! * [`Hybrid`](FootprintMode::Hybrid) — exact varint blobs up to a
 //!   size threshold, a fixed [`HYBRID_BLOOM_BITS`]-bit bloom fingerprint
-//!   above it (both interned). Never under-detects (a fingerprint may
-//!   over-detect); bounds the memory of the heavy tail of long
-//!   footprints.
+//!   above it (stored like every other blob). Never under-detects (a
+//!   fingerprint may over-detect); bounds the memory of the heavy tail
+//!   of long footprints.
 //! * [`Trace`](FootprintMode::Trace) — [`Compressed`] storage plus a
 //!   per-sample *trace sidecar*: the queried-edge outcomes of phase I,
 //!   retained so the online maintainer can refresh an invalidated
@@ -42,22 +44,21 @@
 //! like every other arena column: chunk shards absorb in chunk order,
 //! tombstoned entries are dropped by compaction, and the byte layout is
 //! canonical (a compacted column equals one built by pushing the
-//! survivors in order — dictionary ids are assigned in first-appearance
-//! order of the entry sequence, so the layout is a pure function of the
-//! pushed sequence), so the online `incremental == rebuild`
+//! survivors in order — blobs are appended in first-appearance order of
+//! the entry sequence, so the layout is a pure function of the pushed
+//! sequence), so the online `incremental == rebuild`
 //! byte-equality contract extends to footprints unchanged.
 
-use std::collections::HashMap;
 use std::mem::size_of;
 
 /// Fingerprint width of the bloom tier inside
 /// [`FootprintMode::Hybrid`] (bits; 32 bytes per distinct big
-/// footprint, interned like every other blob). A power of two, so bit
-/// positions reduce by mask.
+/// footprint, interned like every other long blob). A power of two, so
+/// bit positions reduce by mask.
 pub const HYBRID_BLOOM_BITS: u32 = 256;
 
-/// Entry tag: the referenced dictionary blob is a bloom fingerprint,
-/// not a varint node list ([`FootprintMode::Hybrid`] only).
+/// Entry tag: the referenced blob is a bloom fingerprint, not a varint
+/// node list ([`FootprintMode::Hybrid`] only).
 const TAG_BLOOM: u32 = 1 << 31;
 
 /// How per-sample footprints are retained by a shard/arena.
@@ -66,8 +67,8 @@ pub enum FootprintMode {
     /// No footprints (the offline default — zero bytes, zero work).
     #[default]
     Off,
-    /// Delta-encoded varint node lists, interned through a per-column
-    /// dictionary — exact staleness verdicts.
+    /// Delta-encoded varint node lists, long ones interned — exact
+    /// staleness verdicts.
     Compressed,
     /// Exact varint blob for footprints of at most `bloom_above` nodes,
     /// a [`HYBRID_BLOOM_BITS`]-bit bloom fingerprint above — the
@@ -182,7 +183,7 @@ fn decode_deltas(blob: &[u8], mut emit: impl FnMut(u32)) {
     }
 }
 
-/// FNV-1a over a byte blob — the interner's bucket hash (candidates are
+/// FNV-1a over a byte blob — the interner's probe hash (candidates are
 /// confirmed by byte comparison, so collisions only cost a compare).
 #[inline]
 fn blob_hash(bytes: &[u8]) -> u64 {
@@ -194,35 +195,65 @@ fn blob_hash(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Blobs at least this long are interned (stored once, shared by every
+/// entry that encodes to them); shorter ones are appended per entry. A
+/// shared blob costs its interner slots (8–16 bytes at load ¼–½), which
+/// one repeat of a 16-byte blob and its length byte pays back; shorter
+/// blobs, the few-node footprints of samples that stop near their root,
+/// do not repeat enough to pay for theirs. At `exp_online`'s default
+/// scale the exact leg's compacted epoch-3 column (≈4 nodes per entry)
+/// takes 481,307 bytes at this threshold, 660,621 when every blob is
+/// interned and 466,971 at 32.
+const INTERN_MIN_BYTES: usize = 16;
+
+/// Free slot of the interner table.
+const EMPTY_SLOT: u32 = u32::MAX;
+
+/// Interner table length for `shared` interned blobs: the smallest power
+/// of two keeping the load at most ½ (0 while nothing is interned). The
+/// table grows to exactly this on insertion, so the length — and with it
+/// [`FootprintColumn::memory_bytes`] — is a function of the stored
+/// content alone.
+fn table_len(shared: usize) -> usize {
+    if shared == 0 {
+        0
+    } else {
+        (2 * shared).next_power_of_two()
+    }
+}
+
 /// A flat column of per-sample footprints.
 ///
-/// `PartialEq` compares the raw storage (mode, entries, dictionary,
-/// traces), so two populated columns are equal iff they are
-/// byte-equal — the same contract as [`PrrArena`](crate::PrrArena); the
-/// interner (a derived acceleration structure over the dictionary) is
-/// excluded. Two *empty* columns are always equal: a latent mode with
-/// zero entries carries no content (shards are born modeless and stamped
-/// on first push, so an all-empty chunk may leave one column's mode
-/// unset).
+/// `PartialEq` compares the raw storage (mode, entries, blobs, traces),
+/// so two populated columns are equal iff they are byte-equal — the same
+/// contract as [`PrrArena`](crate::PrrArena); the interner table (a
+/// derived acceleration structure over the blobs) is excluded. Two
+/// *empty* columns are always equal: a latent mode with zero entries
+/// carries no content (shards are born modeless and stamped on first
+/// push, so an all-empty chunk may leave one column's mode unset).
 #[derive(Clone, Debug, Default, Eq)]
 pub struct FootprintColumn {
     mode: FootprintMode,
-    /// One dictionary reference per entry; the top bit ([`TAG_BLOOM`])
-    /// marks hybrid bloom-tier entries.
+    /// One blob reference per entry: the byte offset of its blob in
+    /// `blobs`; the top bit ([`TAG_BLOOM`]) marks hybrid bloom-tier
+    /// entries.
     ent: Vec<u32>,
-    /// `dicts + 1` byte offsets into `dict`.
-    dict_off: Vec<u32>,
-    /// Concatenated distinct blobs (varint node lists and/or bloom
-    /// fingerprints), each stored once.
-    dict: Vec<u8>,
+    /// Concatenated blobs (varint node lists and/or bloom fingerprints),
+    /// each a varint byte length followed by the bytes. Blobs of at least
+    /// [`INTERN_MIN_BYTES`] are stored once; shorter ones once per entry.
+    blobs: Vec<u8>,
     /// [`FootprintMode::Trace`]: `count + 1` byte offsets into `tdata`.
     toff: Vec<u32>,
     /// [`FootprintMode::Trace`]: concatenated per-sample trace blobs
     /// (opaque here; produced and consumed by `prr::gen`).
     tdata: Vec<u8>,
-    /// blob hash → dictionary ids with that hash. Derived from `dict`;
-    /// excluded from `PartialEq`.
-    interner: HashMap<u64, Vec<u32>>,
+    /// Open-addressed interner over the shared blobs: their offsets in
+    /// `blobs` ([`EMPTY_SLOT`] marks a free slot), probed linearly from
+    /// the blob's hash; [`table_len`] of `shared` long. Derived from
+    /// `blobs`; excluded from `PartialEq`.
+    table: Vec<u32>,
+    /// Number of interned blobs (excluded from `PartialEq`).
+    shared: usize,
     /// Reusable encode scratch (excluded from `PartialEq`).
     enc: Vec<u8>,
 }
@@ -262,34 +293,67 @@ impl FootprintColumn {
         self.mode = mode;
     }
 
-    /// Interns `bytes` into the dictionary, returning its id (existing on
-    /// a byte-equal hit, fresh otherwise). Ids are assigned in
-    /// first-appearance order, which is what keeps compressed columns
-    /// canonical-by-construction.
-    fn intern(&mut self, bytes: &[u8]) -> u32 {
-        let h = blob_hash(bytes);
-        if let Some(ids) = self.interner.get(&h) {
-            for &id in ids {
-                let lo = self.dict_off[id as usize] as usize;
-                let hi = self.dict_off[id as usize + 1] as usize;
-                if &self.dict[lo..hi] == bytes {
-                    return id;
-                }
+    /// The blob stored at byte offset `off` of `blobs`.
+    fn blob_at(&self, off: u32) -> &[u8] {
+        let mut pos = off as usize;
+        let len = read_varint(&self.blobs, &mut pos) as usize;
+        &self.blobs[pos..pos + len]
+    }
+
+    /// Appends `bytes` as a new blob, returning its offset.
+    fn append(&mut self, bytes: &[u8]) -> u32 {
+        let off = self.blobs.len();
+        assert!(
+            off as u64 + 5 + bytes.len() as u64 <= TAG_BLOOM as u64,
+            "footprint blobs exceed the offset cap"
+        );
+        write_varint(&mut self.blobs, bytes.len() as u32);
+        self.blobs.extend_from_slice(bytes);
+        off as u32
+    }
+
+    /// The first interner slot on `hash`'s probe path that is free or
+    /// holds a blob equal to `bytes` (the table must be non-empty and,
+    /// at load ≤ ½, always has a free slot).
+    fn probe(&self, hash: u64, bytes: &[u8]) -> usize {
+        let mask = self.table.len() - 1;
+        let mut slot = hash as usize & mask;
+        while self.table[slot] != EMPTY_SLOT && self.blob_at(self.table[slot]) != bytes {
+            slot = (slot + 1) & mask;
+        }
+        slot
+    }
+
+    /// Stores `bytes` and returns its offset: a short blob is appended;
+    /// a long one is interned (the existing offset on a byte-equal hit,
+    /// a fresh append otherwise). Offsets grow in first-appearance order,
+    /// which is what keeps columns canonical-by-construction.
+    fn store(&mut self, bytes: &[u8]) -> u32 {
+        if bytes.len() < INTERN_MIN_BYTES {
+            return self.append(bytes);
+        }
+        let hash = blob_hash(bytes);
+        if !self.table.is_empty() {
+            let slot = self.probe(hash, bytes);
+            if self.table[slot] != EMPTY_SLOT {
+                return self.table[slot];
             }
         }
-        if self.dict_off.is_empty() {
-            self.dict_off.push(0);
+        self.shared += 1;
+        if table_len(self.shared) > self.table.len() {
+            let old = std::mem::replace(&mut self.table, vec![EMPTY_SLOT; table_len(self.shared)]);
+            for off in old.into_iter().filter(|&o| o != EMPTY_SLOT) {
+                // Shared blobs are distinct, so a blob's own probe ends at
+                // a free slot.
+                let blob = self.blob_at(off);
+                let slot = self.probe(blob_hash(blob), blob);
+                self.table[slot] = off;
+            }
         }
-        assert!(
-            self.dict.len() as u64 + bytes.len() as u64 <= u32::MAX as u64,
-            "footprint dictionary exceeds the u32 offset cap"
-        );
-        let id = (self.dict_off.len() - 1) as u32;
-        assert!(id < TAG_BLOOM, "footprint dictionary exceeds the id cap");
-        self.dict.extend_from_slice(bytes);
-        self.dict_off.push(self.dict.len() as u32);
-        self.interner.entry(h).or_default().push(id);
-        id
+        let slot = self.probe(hash, bytes);
+        let off = self.append(bytes);
+        self.table[slot] = off;
+        off
     }
 
     /// Encodes `nodes` per the mode and appends the entry. `Trace`
@@ -311,15 +375,15 @@ impl FootprintColumn {
             }
             _ => encode_deltas(&mut blob, nodes),
         }
-        let id = self.intern(&blob);
+        let off = self.store(&blob);
         self.enc = blob;
-        self.ent.push(id | tag);
+        self.ent.push(off | tag);
     }
 
     /// Appends one footprint. `nodes` must be sorted and deduplicated
     /// (the canonical form phase-I capture produces); they are
     /// delta-encoded (or, in the hybrid tier's long tail, folded into a
-    /// fingerprint) and interned.
+    /// fingerprint) and stored, long blobs interned.
     pub fn push(&mut self, nodes: &[u32]) {
         debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "unsorted footprint");
         match self.mode {
@@ -342,6 +406,11 @@ impl FootprintColumn {
         }
         debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "unsorted footprint");
         self.push_compressed(nodes);
+        self.push_trace(trace);
+    }
+
+    /// Appends `trace` as the sidecar of the entry just pushed.
+    fn push_trace(&mut self, trace: &[u8]) {
         if self.toff.is_empty() {
             self.toff.push(0);
         }
@@ -353,12 +422,19 @@ impl FootprintColumn {
         self.toff.push(self.tdata.len() as u32);
     }
 
-    /// Entry `i`'s dictionary blob and its bloom-tier tag.
+    /// Entry `i`'s blob and its bloom-tier tag.
     fn blob(&self, i: usize) -> (&[u8], bool) {
         let e = self.ent[i];
-        let id = (e & !TAG_BLOOM) as usize;
-        let (lo, hi) = (self.dict_off[id] as usize, self.dict_off[id + 1] as usize);
-        (&self.dict[lo..hi], e & TAG_BLOOM != 0)
+        (self.blob_at(e & !TAG_BLOOM), e & TAG_BLOOM != 0)
+    }
+
+    /// Appends entry `i` of `other` (same mode) without its trace.
+    /// Stored blobs are already in canonical encoded form, so storing
+    /// them directly equals re-encoding the entry's nodes.
+    fn push_entry_of(&mut self, other: &FootprintColumn, i: usize) {
+        let (blob, is_bloom) = other.blob(i);
+        let off = self.store(blob);
+        self.ent.push(off | if is_bloom { TAG_BLOOM } else { 0 });
     }
 
     /// Whether footprint `i` is stored as a one-way bloom fingerprint
@@ -390,9 +466,9 @@ impl FootprintColumn {
 
     /// Appends `later`'s footprints after this column's own (chunk-order
     /// merge, like every shard column). An empty column adopts `later`'s
-    /// mode; a populated one requires agreement. Compressed blobs are
-    /// re-interned into this column's dictionary, so the merged layout
-    /// stays canonical (first-appearance dictionary order).
+    /// mode; a populated one requires agreement. Blobs are re-stored into
+    /// this column, so the merged layout stays canonical
+    /// (first-appearance order, long blobs shared).
     pub fn absorb(&mut self, later: &FootprintColumn) {
         if later.count() == 0 {
             return;
@@ -400,14 +476,12 @@ impl FootprintColumn {
         self.ensure_mode(later.mode);
         if self.count() == 0 {
             // Wholesale adoption: `later` is itself canonical, so cloning
-            // it is byte-identical to re-interning entry by entry.
+            // it is byte-identical to re-storing entry by entry.
             *self = later.clone();
             return;
         }
         for i in 0..later.count() {
-            let (blob, is_bloom) = later.blob(i);
-            let id = self.intern(blob);
-            self.ent.push(id | if is_bloom { TAG_BLOOM } else { 0 });
+            self.push_entry_of(later, i);
         }
         if self.mode == FootprintMode::Trace {
             if self.toff.is_empty() {
@@ -425,24 +499,15 @@ impl FootprintColumn {
 
     /// A canonical copy keeping exactly the footprints with `keep(i)` —
     /// byte-identical to pushing the survivors in order onto an empty
-    /// column of the same mode (traces ride along; the dictionary is
-    /// rebuilt over the survivors).
+    /// column of the same mode (traces ride along; the blobs are
+    /// re-stored over the survivors).
     pub fn compacted(&self, keep: impl Fn(usize) -> bool) -> FootprintColumn {
         let mut out = FootprintColumn::new(self.mode);
         for i in 0..self.count() {
             if keep(i) {
-                let (blob, is_bloom) = self.blob(i);
-                // Survivor blobs are already in canonical encoded form;
-                // re-interning them directly equals re-encoding the
-                // survivor's nodes.
-                let id = out.intern(blob);
-                out.ent.push(id | if is_bloom { TAG_BLOOM } else { 0 });
+                out.push_entry_of(self, i);
                 if self.mode == FootprintMode::Trace {
-                    if out.toff.is_empty() {
-                        out.toff.push(0);
-                    }
-                    out.tdata.extend_from_slice(self.trace(i));
-                    out.toff.push(out.tdata.len() as u32);
+                    out.push_trace(self.trace(i));
                 }
             }
         }
@@ -500,57 +565,54 @@ impl FootprintColumn {
         }
     }
 
-    /// Approximate heap bytes of the column (the interner is estimated,
-    /// not measured).
+    /// Heap bytes of the column: entries, blobs, trace sidecar and the
+    /// interner table, counted by length (allocator slack excluded).
     pub fn memory_bytes(&self) -> usize {
-        (self.ent.len() + self.dict_off.len() + self.toff.len()) * size_of::<u32>()
-            + self.dict.len()
+        (self.ent.len() + self.toff.len() + self.table.len()) * size_of::<u32>()
+            + self.blobs.len()
             + self.tdata.len()
-            + self.dict_off.len().saturating_sub(1) * INTERNER_BYTES_PER_BLOB
     }
 
     /// Heap bytes a fresh column holding exactly the footprints with
     /// `keep(i)` would occupy — what [`memory_bytes`](Self::memory_bytes)
     /// reports right after [`compacted`](Self::compacted).
     pub fn live_memory_bytes(&self, keep: impl Fn(usize) -> bool) -> usize {
-        let dicts = self.dict_off.len().saturating_sub(1);
-        let mut live_dict = vec![false; dicts];
-        let mut kept = 0usize;
+        let mut offs = Vec::new();
         let mut trace_bytes = 0usize;
         for i in 0..self.count() {
             if keep(i) {
-                kept += 1;
-                live_dict[(self.ent[i] & !TAG_BLOOM) as usize] = true;
+                offs.push(self.ent[i] & !TAG_BLOOM);
                 trace_bytes += self.trace(i).len();
             }
         }
+        let kept = offs.len();
         if kept == 0 {
             return 0;
         }
-        let mut dict_bytes = 0usize;
-        let mut live_blobs = 0usize;
-        for (id, &live) in live_dict.iter().enumerate() {
-            if live {
-                live_blobs += 1;
-                dict_bytes += (self.dict_off[id + 1] - self.dict_off[id]) as usize;
-            }
+        // Only interned blobs are referenced twice, so the distinct
+        // offsets are exactly the blobs a compacted column re-stores.
+        offs.sort_unstable();
+        offs.dedup();
+        let mut blob_bytes = 0usize;
+        let mut shared = 0usize;
+        for &off in &offs {
+            let len = self.blob_at(off).len();
+            blob_bytes += varint_len(len as u32) + len;
+            shared += usize::from(len >= INTERN_MIN_BYTES);
         }
         let trace_off = if self.mode == FootprintMode::Trace {
             kept + 1
         } else {
             0
         };
-        (kept + live_blobs + 1 + trace_off) * size_of::<u32>()
-            + dict_bytes
-            + trace_bytes
-            + live_blobs * INTERNER_BYTES_PER_BLOB
+        (kept + trace_off + table_len(shared)) * size_of::<u32>() + blob_bytes + trace_bytes
     }
 }
 
-/// Rough interner bytes per distinct dictionary blob (hash-map slot,
-/// key, one id) — keeps [`FootprintColumn::memory_bytes`] honest about
-/// the acceleration structure without measuring allocator internals.
-const INTERNER_BYTES_PER_BLOB: usize = 24;
+/// Bytes [`write_varint`] spends on `v`.
+fn varint_len(v: u32) -> usize {
+    (32 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
 
 impl PartialEq for FootprintColumn {
     fn eq(&self, other: &Self) -> bool {
@@ -559,8 +621,7 @@ impl PartialEq for FootprintColumn {
         }
         self.mode == other.mode
             && self.ent == other.ent
-            && self.dict_off == other.dict_off
-            && self.dict == other.dict
+            && self.blobs == other.blobs
             && self.toff == other.toff
             && self.tdata == other.tdata
     }
@@ -624,7 +685,8 @@ mod tests {
         col.push(&shared);
         assert_eq!(col.count(), 4);
         // The shared big footprint is stored once.
-        assert_eq!(col.dict_off.len() - 1, 2);
+        assert_eq!(col.shared, 1);
+        assert!(col.ent[0] == col.ent[2] && col.ent[2] == col.ent[3]);
         for i in [0usize, 2, 3] {
             let mut got = Vec::new();
             col.for_each_node(i, |v| got.push(v));
@@ -641,6 +703,36 @@ mod tests {
         // same entries holds 4 × (Σ lengths + entries + 1) bytes.
         let sorted_bytes = (3 * shared.len() + 1 + 4 + 1) * size_of::<u32>();
         assert!(col.memory_bytes() < sorted_bytes);
+    }
+
+    #[test]
+    fn short_footprints_cost_no_more_than_sorted() {
+        // A drained, compacted pool holds mostly one- to three-node
+        // footprints. Stored per entry (an offset, a length byte, at most
+        // three varint bytes per node below 2^21) they never cost more
+        // than a sorted `u32` column of the same entries.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        };
+        let mut col = FootprintColumn::new(FootprintMode::Compressed);
+        let mut sorted_bytes = size_of::<u32>();
+        for _ in 0..2_000 {
+            let mut nodes: Vec<u32> = (0..1 + next(3)).map(|_| next(20_000) as u32).collect();
+            nodes.sort_unstable();
+            nodes.dedup();
+            col.push(&nodes);
+            sorted_bytes += (1 + nodes.len()) * size_of::<u32>();
+        }
+        assert!(
+            col.memory_bytes() <= sorted_bytes,
+            "compressed ({}) exceeds sorted ({sorted_bytes})",
+            col.memory_bytes()
+        );
+        assert_eq!(col.live_memory_bytes(|_| true), col.memory_bytes());
     }
 
     #[test]
@@ -865,12 +957,10 @@ mod tests {
                 }
             };
             for col in [&merged, &compacted] {
-                for words in [&col.ent, &col.dict_off] {
-                    fold(&(words.len() as u64).to_le_bytes());
-                    words.iter().for_each(|w| fold(&w.to_le_bytes()));
-                }
-                fold(&(col.dict.len() as u64).to_le_bytes());
-                fold(&col.dict);
+                fold(&(col.ent.len() as u64).to_le_bytes());
+                col.ent.iter().for_each(|w| fold(&w.to_le_bytes()));
+                fold(&(col.blobs.len() as u64).to_le_bytes());
+                fold(&col.blobs);
                 fold(&(col.toff.len() as u64).to_le_bytes());
                 col.toff.iter().for_each(|w| fold(&w.to_le_bytes()));
                 fold(&(col.tdata.len() as u64).to_le_bytes());
@@ -878,12 +968,12 @@ mod tests {
             }
             h
         };
-        assert_eq!(digest(FootprintMode::Compressed), 0x4216_c273_dd81_8583);
+        assert_eq!(digest(FootprintMode::Compressed), 0x863b_d0cd_01b3_04de);
         assert_eq!(
             digest(FootprintMode::Hybrid { bloom_above: 4 }),
-            0x333a_8c17_62f7_5a7e
+            0x7779_77de_0a82_bf67
         );
-        assert_eq!(digest(FootprintMode::Trace), 0x7b2e_490a_2e9f_bacf);
+        assert_eq!(digest(FootprintMode::Trace), 0xcbf7_dcff_d9bd_1688);
     }
 
     #[test]

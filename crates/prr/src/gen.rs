@@ -1,67 +1,96 @@
-//! PRR-graph generation — Algorithm 1, phase I.
+//! PRR-graph generation — Algorithm 1, phase I, stopped at the seeds'
+//! live closure.
 //!
-//! A backward 0-1 BFS from the root: the *distance* of a node is the
-//! minimum number of live-upon-boost edges on any path from it to the root,
-//! so live edges relax at the front of the deque and boost edges at the
-//! back. Edges whose best distance would exceed `k` are pruned — boosting
-//! at most `k` nodes can never make them useful (Section V-A). Pruned
-//! edges are dropped at the check, *before* entering the raw edge list, so
-//! they never inflate phase-II input (pinned by
-//! `pruned_edges_not_retained`).
+//! # The search
 //!
-//! # The data-oriented kernel and its scalar oracle
+//! A sample's *world* fixes every edge as live (probability `p`),
+//! live-upon-boost (`p' − p`) or blocked. Phase II merges `X`, the nodes
+//! a seed reaches over live edges, into one super-seed and keeps only
+//! nodes that reach the root without passing through `X` (Section V-A),
+//! so phase I never needs to look behind `X`. It is a backward 0-1 BFS
+//! from the root — a node's *distance* is the fewest live-upon-boost
+//! edges on a path from it to the root through nodes outside `X`, so live
+//! edges relax at the front of the deque and boost edges at the back —
+//! that expands only nodes proven to be outside `X`:
 //!
-//! Two phase-I loops coexist here, byte-for-byte equivalent by
-//! construction and by test:
+//! * Each node the BFS pops has its `X` status settled by a **walk**
+//!   backward over live in-edges. The walk stops at the first seed or
+//!   known-`X` node and propagates that hit forward over the live edges
+//!   already drawn: every node they reach is in `X`. When the walk runs
+//!   out instead, no node it visited reaches a seed, so every one of them
+//!   is proven outside `X` and none is walked again.
+//! * A popped node in `X` is not expanded. It is the tail of a
+//!   super-seed edge and goes to phase II in the raw graph's seed list
+//!   ([`RawPrr::seeds`]).
+//! * A popped node outside `X` emits all of its non-blocked in-edges,
+//!   unless it sits at distance `k`. Every path from the super-seed
+//!   starts with a boost edge, so such a node would need `k + 1` boosts
+//!   and compression keeps neither it nor anything behind it. Edges that
+//!   would need more than `k` boosts are therefore never emitted.
+//! * A root in `X` is `Activated`. A BFS that reaches no `X` node is
+//!   `Hopeless`.
 //!
-//! * the **scalar loop** ([`phase1_tr`](PrrGenerator)) — the original
-//!   readable loop over [`DiGraph::in_edges`], one `rng.random::<f64>()`
-//!   per touched edge, fresh `Vec`s per sample. Generators built with
-//!   [`PrrGenerator::new_scalar_oracle`] use it on every entry point, and
-//!   every generator uses it for trace capture and for conditional
-//!   replay (which reuses an old trace's coins and draws the rest, see
-//!   `phase1_tr`).
-//! * the **kernel** (`phase1_kernel`) — the throughput path used by
-//!   generators built with [`PrrGenerator::new`]. It walks the packed
-//!   8-byte [`InEdgeSoa`] lane (head plus 16-bit coin thresholds) instead
-//!   of the 20 bytes per edge of the CSR, refills a fixed scratch buffer
-//!   of uniforms through bulk [`RngCore::fill_u64`] calls (consumed in the
-//!   exact one-draw-per-edge order of the scalar loop, so the stream is
-//!   bit-identical), keeps the BFS deque, edge list, and seed buffer in
-//!   the thread-local [`GenScratch`] so steady-state sampling performs no
-//!   heap allocation, and emits *sample-local* node ids as it goes —
-//!   phase II consumes them directly and skips its global→local
-//!   relabeling pass.
+//! Every node whose in-list the search reads — each node a walk visits —
+//! draws its whole in-list once, in CSR order, and keeps the non-blocked
+//! in-edges in a sample-local block that later walks and its expansion
+//! reread without drawing. The expansion itself draws nothing: a node
+//! proven outside `X` was walked. All per-node search state (`X` status,
+//! in-edge block, live out-chain, walk stamp, distance) lives in
+//! sample-local arrays indexed by the local ids the search assigns on
+//! first touch, so `NodeMeta` stays the only per-graph-node array per
+//! thread.
 //!
-//! The kernel settles each coin on integers: `bits >> 48` of the drawn
-//! `u64` against the record's threshold, falling back to the scalar
-//! loop's `unit_f64(bits)` comparison against the graph's exact
-//! [`EdgeProbs`](kboost_graph::EdgeProbs) only on a tie (probability 2⁻¹⁶
-//! per comparison). The two tests are the same predicate
-//! ([`coin_at_least`]), so every verdict, and with it the stream, covers
-//! and arena bytes, equals the scalar loop's. At benchmark scale phase I
-//! is bound by edge traffic, not draws: the lane is 8 bytes per edge
-//! against the 20 of the CSR's head and probability arrays.
+//! For a fixed world, the compressed graph, its critical set and the
+//! outcome class equal those of the full BFS this search replaced, which
+//! expanded every node within `k` boosts, `X` included: the raw graph
+//! loses only the region behind `X` and behind the budget boundary,
+//! which compression dropped anyway. The test reference (`reference`)
+//! keeps that full BFS and the world-equivalence suite compares the two
+//! sample by sample.
 //!
-//! The only stream subtlety is the early `Activated` return: the scalar
-//! loop stops mid-in-edge-list having consumed exactly one draw per edge
-//! up to the live seed edge, while the kernel has already bulk-drawn its
-//! whole batch. The kernel therefore snapshots the 32-byte RNG state
-//! before each refill and, on early return after batch index `j`, restores
-//! the snapshot and replays exactly `j + 1` draws — leaving the RNG in the
-//! scalar loop's exact state.
+//! # The stream
+//!
+//! A sample draws one coin per in-edge of every node the search reads,
+//! in read order: the root's walk first, then the walk of each popped
+//! node whose status is still open. This is a different order from the
+//! full BFS, and far fewer coins (≈1.5k instead of ≈27k per sample at the
+//! `offline_solve` scale). Each coin is drawn at most once and
+//! independently of the others, so the outcome distribution is
+//! unchanged.
+//!
+//! # Coin sources
+//!
+//! The search is written once, generic over its `CoinSource`:
+//!
+//! * `LaneCoins` — kernel generators ([`PrrGenerator::new`]). It reads
+//!   the packed 8-byte [`InEdgeSoa`] lane (head plus 16-bit coin
+//!   thresholds) instead of the 20 bytes per edge of the CSR and settles a
+//!   coin, one [`RngCore::next_u64`] each, on integers: `bits >> 48`
+//!   against the record's threshold, falling back to the exact
+//!   [`EdgeProbs`] only on a tie (probability 2⁻¹⁶ per comparison, see
+//!   [`coin_at_least`]). The earlier kernel bulk-filled a buffer of
+//!   uniforms and rewound the RNG at the end of each sample; at ≈1.5k
+//!   coins a sample, the over-draw and the rewind cost more than the bulk
+//!   fill saved.
+//! * `ScalarCoins` — scalar oracles
+//!   ([`PrrGenerator::new_scalar_oracle`]). One `rng.random::<f64>()` per
+//!   coin against the exact probabilities: the same predicate and the
+//!   same stream as the lane, so every cover and arena byte agrees.
+//! * `ReplayCoins` — conditional replay of a retained trace (see
+//!   [`PrrGenerator::replay_with_footprint_trace`]). It reuses recorded
+//!   coins and draws the rest like `ScalarCoins`.
 //!
 //! # Edge-space footprints
 //!
-//! The BFS queries edge statuses lazily: expanding a node enumerates its
-//! in-edges and draws one status each. The set of *expanded* nodes is
-//! therefore the sample's exact edge-space footprint — a mutation of edge
-//! `(u, v)` changes the sample's distribution iff `v` was expanded,
-//! because only then would the generator have queried `v`'s (old or new)
-//! in-edge list. The footprint-retaining entry points capture that set at
-//! generation time (sorted, deduplicated) for the online subsystem's
-//! exact staleness detection; capture consumes no randomness, so
-//! footprint-on and footprint-off pools draw identical streams.
+//! The set of nodes whose in-lists the search read is the sample's exact
+//! edge-space footprint: a mutation of edge `(u, v)` changes the sample's
+//! distribution iff `v`'s in-list was read, because only then would the
+//! search have queried `v`'s (old or new) in-edges. The search reads
+//! nothing else (the expansion rereads blocks already drawn), so the
+//! footprint stays exact. The footprint-retaining entry points capture
+//! that set (sorted) for the online subsystem's exact staleness
+//! detection; capture consumes no randomness, so footprint-on and
+//! footprint-off pools draw identical streams.
 //!
 //! Every entry point ends in one of two phase-II steps: `outcome`
 //! compresses a result into a per-graph [`PrrOutcome`], `store` compresses
@@ -69,36 +98,30 @@
 //! stores none) with the footprint and trace the [`FootprintMode`] keeps.
 
 use kboost_diffusion::sim::BoostMask;
-use kboost_graph::{coin_at_least, DiGraph, InEdgeSoa, NodeId};
+use kboost_graph::{coin_at_least, DiGraph, EdgeProbs, InEdgeSoa, NodeId, PackedInEdge};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore};
 
 use crate::arena::PrrArenaShard;
-use crate::compress::{
-    compress, compress_locals_into, compress_parts_into, CompressedParts, LEDGE_BOOST, LEDGE_MASK,
-};
+use crate::compress::{compress_locals_into, CompressedParts, LEDGE_BOOST, LEDGE_MASK};
 use crate::footprint::{read_varint, write_varint, FootprintMode};
 use crate::graph::CompressedPrr;
 
-/// 2-bit trace outcome: the edge was sampled live.
-const TRACE_LIVE: u8 = 0;
-/// 2-bit trace outcome: the edge was sampled live-upon-boost.
-const TRACE_BOOST: u8 = 1;
-/// 2-bit trace outcome: the edge was sampled blocked.
-const TRACE_BLOCKED: u8 = 2;
-/// 2-bit trace sentinel: the edge's coin was never drawn (the sample
-/// returned `Activated` mid-way through the node's in-edge list).
-const TRACE_NOT_DRAWN: u8 = 3;
+/// 2-bit coin outcome: the edge was sampled live.
+pub(crate) const TRACE_LIVE: u8 = 0;
+/// 2-bit coin outcome: the edge was sampled live-upon-boost.
+pub(crate) const TRACE_BOOST: u8 = 1;
+/// 2-bit coin outcome: the edge was sampled blocked.
+pub(crate) const TRACE_BLOCKED: u8 = 2;
 
 /// Per-sample trace blob builder for [`FootprintMode::Trace`].
 ///
-/// Layout: `varint(root)` followed by one self-delimiting record per
-/// expanded node in BFS pop order — `varint(global id)`,
+/// Layout: `varint(root)` followed by one self-delimiting record per node
+/// whose in-list the search read, in read order — `varint(global id)`,
 /// `varint(in-degree at capture)`, then `ceil(deg / 4)` bytes of 2-bit
 /// edge outcomes in in-edge-list order ([`TRACE_LIVE`], [`TRACE_BOOST`],
-/// [`TRACE_BLOCKED`], [`TRACE_NOT_DRAWN`]). Outcome bytes start
-/// all-sentinel, so an early `Activated` return leaves the undrawn tail
-/// of the last record marked not-drawn without any cleanup pass.
+/// [`TRACE_BLOCKED`]). Every record is complete: the search reads whole
+/// in-lists.
 #[derive(Default)]
 struct TraceBuf {
     buf: Vec<u8>,
@@ -115,14 +138,12 @@ impl TraceBuf {
         write_varint(&mut self.buf, v);
         write_varint(&mut self.buf, deg as u32);
         self.node_off = self.buf.len();
-        self.buf.resize(self.node_off + deg.div_ceil(4), 0xFF);
+        self.buf.resize(self.node_off + deg.div_ceil(4), 0);
     }
 
     #[inline]
     fn record(&mut self, pos: usize, outcome: u8) {
-        let byte = &mut self.buf[self.node_off + pos / 4];
-        let shift = (pos % 4) * 2;
-        *byte = (*byte & !(0b11 << shift)) | (outcome << shift);
+        self.buf[self.node_off + pos / 4] |= outcome << ((pos % 4) * 2);
     }
 }
 
@@ -160,8 +181,8 @@ impl<'a> TraceView<'a> {
     }
 }
 
-/// A conditional replay's inputs (see [`PrrGenerator::phase1_tr`]): the
-/// old trace and the mutation batch's redraw predicates.
+/// A conditional replay's inputs (see [`ReplayCoins`]): the old trace and
+/// the mutation batch's redraw predicates.
 struct Replay<'a> {
     old: TraceView<'a>,
     redraw_node: &'a dyn Fn(u32) -> bool,
@@ -171,7 +192,7 @@ struct Replay<'a> {
 impl Replay<'_> {
     /// The outcome-byte offset of `u`'s record, if its positions still
     /// line up with `u`'s current in-edge list: `u` is not redrawn
-    /// wholesale, was expanded at capture, and kept its in-degree.
+    /// wholesale, was read at capture, and kept its in-degree.
     fn record(&self, u: u32, deg: usize) -> Option<usize> {
         if (self.redraw_node)(u) {
             return None;
@@ -193,50 +214,31 @@ pub enum PrrOutcome {
     Boostable(CompressedPrr),
 }
 
-/// Phase-I output before compression, kept public for testing and for the
-/// critical-only fast path.
+/// Phase-I output before compression in global ids, kept public for
+/// tests and probes ([`PrrGenerator::phase1_raw`]).
 pub struct RawPrr {
     /// The root node (global id).
     pub root: u32,
     /// Sampled non-blocked edges `(from, to, is_boost)` in global ids,
     /// grouped by head: all edges into one node are contiguous. Phase I
     /// expands each node at most once and emits its in-edges while doing
-    /// so, and [`compress`] relies on (and asserts) the grouping.
+    /// so, and [`compress`](crate::compress::compress) relies on (and
+    /// asserts) the grouping.
     pub edges: Vec<(u32, u32, bool)>,
-    /// Seed nodes discovered during the backward BFS.
+    /// Nodes phase II starts `X` from. The search lists exactly the `X`
+    /// nodes among the edges' tails (the super-seed edges' tails); a full
+    /// BFS lists the seeds it reached, and compression closes them over
+    /// live edges.
     pub seeds: Vec<u32>,
 }
 
+/// Phase-I outcome: on `Raw`, the edge and seed lists are left in the
+/// thread-local [`GenScratch`] in sample-local ids.
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Phase1 {
     Activated,
     Hopeless,
-    Raw(RawPrr),
-}
-
-impl Phase1 {
-    fn raw(&self) -> Option<RawRef<'_>> {
-        match self {
-            Phase1::Raw(raw) => Some(RawRef::Global(raw)),
-            Phase1::Activated | Phase1::Hopeless => None,
-        }
-    }
-}
-
-/// Kernel phase-I outcome: on `Raw`, the edge and seed lists are left in
-/// the thread-local [`GenScratch`] instead of being moved into an owned
-/// [`RawPrr`].
-enum KernelPhase1 {
-    Activated,
-    Hopeless,
     Raw,
-}
-
-/// A boostable-candidate phase-I result as phase II reads it: the scalar
-/// loop's global-id [`RawPrr`], or the kernel's local-id lists in
-/// [`GenScratch`].
-enum RawRef<'a> {
-    Global(&'a RawPrr),
-    Local(&'a GenScratch),
 }
 
 /// Generator of random PRR-graphs for a fixed `(G, S, k)`.
@@ -250,60 +252,211 @@ pub struct PrrGenerator<'g> {
     k: usize,
 }
 
-/// Maximum number of uniforms drawn per bulk RNG refill in the kernel.
-const UNIFORM_BATCH: usize = 512;
-
-/// First refill size of a sample. Refills double from here up to
-/// [`UNIFORM_BATCH`], so a sample that touches only a handful of edges
-/// (tiny graphs, early activation) over-draws at most ~8 uniforms
-/// instead of a full batch, while long walks settle into maximal batches
-/// after a few refills.
-const UNIFORM_BATCH_MIN: usize = 8;
-
-/// How many edges ahead the kernel prefetches the per-node state of edge
-/// heads. The per-node arrays span megabytes at benchmark scale, so every
-/// head lookup is a likely cache miss; issuing the loads this far ahead
-/// lets them overlap instead of serializing on the BFS's dependent chain.
-const PREFETCH_AHEAD: usize = 16;
-
-/// Best-effort prefetch of the cache line holding `p` (no-op off x86-64).
-#[inline(always)]
-fn prefetch<T>(p: &T) {
-    #[cfg(target_arch = "x86_64")]
-    unsafe {
-        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>(p as *const T as *const i8);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
+/// Where the search's coins come from: one outcome ([`TRACE_LIVE`],
+/// [`TRACE_BOOST`] or [`TRACE_BLOCKED`]) per in-edge, drawn when the
+/// search first reads the in-list holding it.
+pub(crate) trait CoinSource {
+    /// Draws the whole in-list of `u`, the CSR in-edge positions
+    /// `lo..hi`, calling `f(i, tail, outcome)` for the `i`-th in-edge in
+    /// list order.
+    fn draw_in_list(&mut self, u: u32, lo: usize, hi: usize, f: impl FnMut(usize, u32, u8));
 }
 
-/// Per-node phase-I state, merged into one entry so the BFS pays a single
-/// random cache access per touched node: the epoch stamp (validity), the
-/// settled 0-1 BFS distance, and the sample-local id the kernel assigns on
-/// first touch (the compression core consumes local ids directly).
+/// The scalar coin: one `rng.random::<f64>()` against the exact
+/// probabilities.
+#[inline]
+pub(crate) fn scalar_coin(rng: &mut SmallRng, p: EdgeProbs) -> u8 {
+    let x: f64 = rng.random();
+    if x < p.base {
+        TRACE_LIVE
+    } else if x < p.boosted {
+        TRACE_BOOST
+    } else {
+        TRACE_BLOCKED
+    }
+}
+
+/// The kernel's coins: the packed lane, one `next_u64` per coin.
+struct LaneCoins<'a> {
+    lane: &'a [PackedInEdge],
+    probs: &'a [EdgeProbs],
+    rng: &'a mut SmallRng,
+}
+
+impl<'a> LaneCoins<'a> {
+    fn new(soa: &'a InEdgeSoa, g: &'a DiGraph, rng: &'a mut SmallRng) -> Self {
+        LaneCoins {
+            lane: soa.lane(),
+            probs: g.in_probs(),
+            rng,
+        }
+    }
+}
+
+impl CoinSource for LaneCoins<'_> {
+    #[inline]
+    fn draw_in_list(&mut self, _u: u32, lo: usize, hi: usize, mut f: impl FnMut(usize, u32, u8)) {
+        let (lane, probs) = (self.lane, self.probs);
+        // A local copy keeps the RNG state in registers across `f`.
+        let mut rng = self.rng.clone();
+        for e in lo..hi {
+            let bits = rng.next_u64();
+            // The scalar split on x = unit_f64(bits): x ≥ boosted ⇒
+            // blocked, x < base ⇒ live, otherwise boost. The packed
+            // thresholds decide; the exact probabilities are read only on
+            // a 16-bit tie.
+            let r = lane[e];
+            let outcome = if coin_at_least(bits, r.boosted_hi(), || probs[e].boosted) {
+                TRACE_BLOCKED
+            } else if coin_at_least(bits, r.base_hi(), || probs[e].base) {
+                TRACE_BOOST
+            } else {
+                TRACE_LIVE
+            };
+            f(e - lo, r.head(), outcome);
+        }
+        *self.rng = rng;
+    }
+}
+
+/// The scalar oracle's coins: [`scalar_coin`] per in-edge over the CSR.
+struct ScalarCoins<'a> {
+    sources: &'a [u32],
+    probs: &'a [EdgeProbs],
+    rng: &'a mut SmallRng,
+}
+
+impl<'a> ScalarCoins<'a> {
+    fn new(g: &'a DiGraph, rng: &'a mut SmallRng) -> Self {
+        ScalarCoins {
+            sources: g.in_sources(),
+            probs: g.in_probs(),
+            rng,
+        }
+    }
+}
+
+impl CoinSource for ScalarCoins<'_> {
+    fn draw_in_list(&mut self, _u: u32, lo: usize, hi: usize, mut f: impl FnMut(usize, u32, u8)) {
+        for e in lo..hi {
+            f(
+                e - lo,
+                self.sources[e],
+                scalar_coin(self.rng, self.probs[e]),
+            );
+        }
+    }
+}
+
+/// Conditional replay (Ohsaka-style) of an invalidated sample on the
+/// *current* graph: reuses the recorded coin of every edge whose law is
+/// unchanged and draws a fresh [`scalar_coin`] only where the mutation
+/// batch touched:
+///
+/// * `redraw_node(u)` — `u`'s in-edge list changed structurally
+///   (insert/remove head): every coin of `u`'s in-edges is redrawn,
+///   positional correspondence with the record is void;
+/// * `redraw_edge(v, u)` — the edge `(v, u)` had its probabilities
+///   rewritten in place: only that coin is redrawn;
+/// * a node with no record, or whose captured in-degree disagrees with
+///   the current one, is redrawn wholesale.
+///
+/// By the principle of deferred decisions the replayed sample is an
+/// exact draw from the new graph's PRR distribution, *jointly* with the
+/// untouched survivors — the coupling that makes trace-retention refresh
+/// distribution-fresh under partial churn where unconditioned redraw is
+/// not. A replay that holds no retained coin draws exactly what a fresh
+/// sample from the same RNG state would.
+struct ReplayCoins<'a> {
+    replay: &'a Replay<'a>,
+    fresh: ScalarCoins<'a>,
+}
+
+impl CoinSource for ReplayCoins<'_> {
+    fn draw_in_list(&mut self, u: u32, lo: usize, hi: usize, mut f: impl FnMut(usize, u32, u8)) {
+        let record = self.replay.record(u, hi - lo);
+        for e in lo..hi {
+            let (i, v) = (e - lo, self.fresh.sources[e]);
+            let outcome = match record {
+                Some(off) if !(self.replay.redraw_edge)(v, u) => self.replay.old.outcome(off, i),
+                _ => scalar_coin(self.fresh.rng, self.fresh.probs[e]),
+            };
+            f(i, v, outcome);
+        }
+    }
+}
+
+/// What a search records besides its result: the footprint (every node
+/// whose in-list it reads, in read order) and the trace.
+struct Capture<'a> {
+    footprint: Option<&'a mut Vec<u32>>,
+    trace: Option<&'a mut TraceBuf>,
+}
+
+/// Per-graph-node state: the epoch stamp (validity) and the sample-local
+/// id assigned on first touch. One random cache access per touched node.
 #[derive(Clone, Copy)]
 struct NodeMeta {
     stamp: u32,
-    dist: u32,
     lid: u32,
 }
 
+/// `X` status of a touched node: not settled yet.
+const X_OPEN: u8 = 0;
+/// `X` status: a seed reaches the node over live edges.
+const X_IN: u8 = 1;
+/// `X` status: proven outside `X` by an exhausted walk.
+const X_OUT: u8 = 2;
+/// [`Local::lo`] of a node whose in-list is not drawn yet.
+const UNDRAWN: u32 = u32::MAX;
+/// End of a live out-chain.
+const NIL: u32 = u32::MAX;
+
+/// Sample-local search state of a touched node, indexed by its local id.
+#[derive(Clone, Copy)]
+struct Local {
+    /// 0-1 BFS distance to the root through nodes outside `X`;
+    /// [`GenScratch::INF`] until relaxed.
+    dist: u32,
+    /// Id of the last walk that visited the node.
+    walk: u32,
+    /// The node's non-blocked in-edges `block[lo..hi]`; `lo` is
+    /// [`UNDRAWN`] until its in-list is drawn.
+    lo: u32,
+    hi: u32,
+    /// Latest entry of the node's live out-chain (the drawn live edges
+    /// leaving it), or [`NIL`].
+    live: u32,
+    /// [`X_OPEN`], [`X_IN`] or [`X_OUT`].
+    x: u8,
+}
+
 /// Per-thread scratch: stamped per-node state sized to the host graph,
-/// plus the kernel's reusable BFS deque, local-id node/edge/seed output
-/// lists, and uniform batch buffer.
+/// plus the sample-local search state and the local-id node/edge/seed
+/// output lists phase II reads.
 struct GenScratch {
     meta: Vec<NodeMeta>,
     round: u32,
+    local: Vec<Local>,
+    /// Drawn in-edge blocks: a live edge's tail as its local id, a
+    /// live-upon-boost edge's tail as its global id with [`LEDGE_BOOST`]
+    /// set. Walks follow only live edges, so a boost tail is touched only
+    /// if its head is expanded.
+    block: Vec<u32>,
+    /// Live out-chains: `(head, next entry or NIL)`.
+    chain: Vec<(u32, u32)>,
+    walks: u32,
+    /// The current walk's visited nodes.
+    walked: Vec<u32>,
+    stack: Vec<u32>,
     deque: std::collections::VecDeque<(u32, u32)>,
-    /// Kernel output: local → global id table, first-touch ordered,
-    /// `globals[0]` = the root.
+    /// Output: local → global id table, first-touch ordered, `globals[0]`
+    /// = the root.
     globals: Vec<u32>,
-    /// Kernel output: packed local edges (see [`LEDGE_BOOST`]).
+    /// Output: packed local edges (see [`LEDGE_BOOST`]), grouped by head.
     ledges: Vec<(u32, u32)>,
-    /// Kernel output: local ids of the seeds discovered by the BFS.
+    /// Output: local ids of the `X` nodes the BFS popped.
     lseeds: Vec<u32>,
-    uniforms: Vec<u64>,
 }
 
 impl GenScratch {
@@ -313,24 +466,22 @@ impl GenScratch {
         GenScratch {
             meta: Vec::new(),
             round: 0,
+            local: Vec::new(),
+            block: Vec::new(),
+            chain: Vec::new(),
+            walks: 0,
+            walked: Vec::new(),
+            stack: Vec::new(),
             deque: std::collections::VecDeque::new(),
             globals: Vec::new(),
             ledges: Vec::new(),
             lseeds: Vec::new(),
-            uniforms: Vec::new(),
         }
     }
 
     fn begin(&mut self, n: usize) {
         if self.meta.len() < n {
-            self.meta = vec![
-                NodeMeta {
-                    stamp: 0,
-                    dist: Self::INF,
-                    lid: 0,
-                };
-                n
-            ];
+            self.meta = vec![NodeMeta { stamp: 0, lid: 0 }; n];
             self.round = 0;
         }
         self.round += 1;
@@ -340,45 +491,110 @@ impl GenScratch {
             }
             self.round = 1;
         }
+        self.local.clear();
+        self.block.clear();
+        self.chain.clear();
+        self.walks = 0;
         self.deque.clear();
         self.globals.clear();
         self.ledges.clear();
         self.lseeds.clear();
-        if self.uniforms.len() != UNIFORM_BATCH {
-            self.uniforms.resize(UNIFORM_BATCH, 0);
-        }
     }
 
+    /// The local id of global node `v`, assigned on first touch (seeds
+    /// start in `X`).
     #[inline]
-    fn get(&self, v: u32) -> u32 {
-        let m = &self.meta[v as usize];
-        if m.stamp == self.round {
-            m.dist
-        } else {
-            Self::INF
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, v: u32, d: u32) {
+    fn touch(&mut self, v: u32, seeds: &BoostMask) -> u32 {
         let m = &mut self.meta[v as usize];
-        m.stamp = self.round;
-        m.dist = d;
+        if m.stamp == self.round {
+            return m.lid;
+        }
+        let lid = self.globals.len() as u32;
+        *m = NodeMeta {
+            stamp: self.round,
+            lid,
+        };
+        self.globals.push(v);
+        self.local.push(Local {
+            dist: Self::INF,
+            walk: 0,
+            lo: UNDRAWN,
+            hi: 0,
+            live: NIL,
+            x: if seeds.contains(NodeId(v)) {
+                X_IN
+            } else {
+                X_OPEN
+            },
+        });
+        lid
+    }
+
+    /// Marks everything `hit` (a node in `X`) reaches over drawn live
+    /// edges as in `X`.
+    fn propagate(&mut self, hit: u32) {
+        self.stack.clear();
+        self.stack.push(hit);
+        while let Some(u) = self.stack.pop() {
+            let mut c = self.local[u as usize].live;
+            while c != NIL {
+                let (h, next) = self.chain[c as usize];
+                let lh = &mut self.local[h as usize];
+                if lh.x != X_IN {
+                    debug_assert_eq!(lh.x, X_OPEN, "a live edge from X into a proven non-X node");
+                    lh.x = X_IN;
+                    self.stack.push(h);
+                }
+                c = next;
+            }
+        }
+    }
+
+    /// The critical set `C_R` of the sample the search left here: heads
+    /// of boost edges from `X` that live-reach the root, in edge-scan
+    /// order. A head's in-edges are contiguous, so skipping repeats of the
+    /// last head deduplicates.
+    fn critical(&self) -> Vec<NodeId> {
+        let mut critical = Vec::new();
+        let mut last = NIL;
+        for &(t, pv) in &self.ledges {
+            let v = pv & LEDGE_MASK;
+            if pv & LEDGE_BOOST != 0
+                && v != last
+                && self.local[v as usize].dist == 0
+                && self.local[t as usize].x == X_IN
+            {
+                critical.push(NodeId(self.globals[v as usize]));
+                last = v;
+            }
+        }
+        critical
+    }
+
+    /// The output lists in global ids.
+    fn raw_prr(&self) -> RawPrr {
+        let g = |l: u32| self.globals[l as usize];
+        RawPrr {
+            root: g(0),
+            edges: self
+                .ledges
+                .iter()
+                .map(|&(t, pv)| (g(t), g(pv & LEDGE_MASK), pv & LEDGE_BOOST != 0))
+                .collect(),
+            seeds: self.lseeds.iter().map(|&l| g(l)).collect(),
+        }
     }
 }
 
 thread_local! {
     static SCRATCH: std::cell::RefCell<GenScratch> = std::cell::RefCell::new(GenScratch::new());
-    /// Reusable footprint buffer for the streaming footprint path —
-    /// cleared per sample, copied into the shard column on retention.
+    /// Reusable footprint buffer — cleared per sample, copied into the
+    /// shard column on retention.
     static FP_SCRATCH: std::cell::RefCell<Vec<u32>> = const { std::cell::RefCell::new(Vec::new()) };
-    /// Reusable phase-II output for the kernel path: compression writes
+    /// Reusable phase-II output for the shard path: compression writes
     /// into it in place, the shard copies out of it.
     static PARTS: std::cell::RefCell<CompressedParts> =
         std::cell::RefCell::new(CompressedParts::default());
-    /// Reusable state for the kernel's hash-free critical-set extraction.
-    static CRIT_SCRATCH: std::cell::RefCell<CritScratch> =
-        std::cell::RefCell::new(CritScratch::new());
     /// Reusable trace blob builder for [`FootprintMode::Trace`] capture
     /// and replay — cleared per sample, copied into the shard's trace
     /// sidecar on retention.
@@ -395,21 +611,26 @@ impl<'g> PrrGenerator<'g> {
     /// Creates a kernel generator for seeds `S` and budget `k`: builds the
     /// packed in-edge lane (`O(m)`, once per generator — sources construct
     /// one generator per pool build / mutation epoch, which is what keeps
-    /// the lane fresh across online epochs) and routes the bulk-sampling
-    /// entry points through the data-oriented kernel.
+    /// the lane fresh across online epochs) and draws every fresh coin
+    /// from it (`LaneCoins`).
     pub fn new(g: &'g DiGraph, seeds: &[NodeId], k: usize) -> Self {
         PrrGenerator {
-            g,
             soa: Some(g.in_edge_soa()),
-            seed_mask: BoostMask::from_nodes(g.num_nodes(), seeds),
-            k,
+            ..Self::new_scalar_oracle(g, seeds, k)
         }
     }
 
-    /// Creates a scalar-oracle generator: no packed lane, every entry point
-    /// runs the original per-edge loop. Used by the legacy source and the
-    /// kernel-equivalence test suites.
+    /// Creates a scalar-oracle generator: no packed lane, every fresh coin
+    /// is one `rng.random::<f64>()` against the exact probabilities
+    /// (`ScalarCoins`). Same search, same stream, same bytes as
+    /// [`new`](Self::new); used by the legacy source, the replay paths
+    /// and the kernel-equivalence test suites.
     pub fn new_scalar_oracle(g: &'g DiGraph, seeds: &[NodeId], k: usize) -> Self {
+        // In-edge blocks tag boost tails' global ids with LEDGE_BOOST.
+        assert!(
+            g.num_nodes() <= LEDGE_MASK as usize,
+            "node ids must stay below 2^31"
+        );
         PrrGenerator {
             g,
             soa: None,
@@ -423,33 +644,39 @@ impl<'g> PrrGenerator<'g> {
         self.k
     }
 
-    /// Whether this generator routes bulk sampling through the
-    /// data-oriented kernel (true for [`new`](Self::new), false for
+    /// Whether this generator draws its coins from the packed lane (true
+    /// for [`new`](Self::new), false for
     /// [`new_scalar_oracle`](Self::new_scalar_oracle)).
     pub fn is_kernel(&self) -> bool {
         self.soa.is_some()
     }
 
-    /// Generates a PRR-graph for a uniformly random root.
-    ///
-    /// Always runs the scalar oracle — this per-graph entry point exists
-    /// for the legacy pipeline and for tests.
+    /// Generates a PRR-graph for a uniformly random root — the per-graph
+    /// entry point of the legacy pipeline and of tests.
     pub fn sample(&self, rng: &mut SmallRng) -> PrrOutcome {
         let root = NodeId(rng.random_range(0..self.g.num_nodes() as u32));
         self.sample_rooted(root, rng)
     }
 
-    /// Generates a PRR-graph for the given root (scalar oracle).
+    /// Generates a PRR-graph for the given root.
     pub fn sample_rooted(&self, root: NodeId, rng: &mut SmallRng) -> PrrOutcome {
-        self.outcome(self.phase1(root, rng, self.k as u32))
+        self.run(
+            root,
+            rng,
+            self.k as u32,
+            FootprintMode::Off,
+            None,
+            |ph, s, _, _| self.outcome(ph, s),
+        )
     }
 
     /// Like [`sample`](Self::sample), additionally writing the sample's
-    /// edge-space footprint (sorted, deduplicated expanded-node set) into
-    /// `footprint` — the legacy/oracle entry point of the exact-staleness
-    /// pipeline. Draws the exact same randomness as [`sample`](Self::sample) and
-    /// [`sample_into`](Self::sample_into), so footprint-retaining pools
-    /// reproduce footprint-free streams bit-for-bit.
+    /// edge-space footprint (the sorted set of nodes whose in-lists the
+    /// search read) into `footprint` — the legacy/oracle entry point of
+    /// the exact-staleness pipeline. Draws the exact same randomness as
+    /// [`sample`](Self::sample) and [`sample_into`](Self::sample_into), so
+    /// footprint-retaining pools reproduce footprint-free streams
+    /// bit-for-bit.
     pub fn sample_with_footprint(
         &self,
         rng: &mut SmallRng,
@@ -459,8 +686,8 @@ impl<'g> PrrGenerator<'g> {
     }
 
     /// Like [`sample_with_footprint`](Self::sample_with_footprint),
-    /// additionally writing the sample's trace blob (retained queried-edge
-    /// outcomes, [`TraceBuf`] layout) into `trace` — the legacy/oracle
+    /// additionally writing the sample's trace blob (every read in-edge's
+    /// outcome, [`TraceBuf`] layout) into `trace` — the legacy/oracle
     /// entry point of the trace-retention tier. Draws the exact same
     /// randomness as every other sampling entry point.
     pub fn sample_with_footprint_trace(
@@ -473,9 +700,9 @@ impl<'g> PrrGenerator<'g> {
     }
 
     /// The per-graph sampler of the legacy oracle: a uniformly random
-    /// root through the scalar loop, writing what `mode` retains into the
-    /// out-params — the footprint unless `Off`, the trace under `Trace` —
-    /// and clearing the rest.
+    /// root, writing what `mode` retains into the out-params — the
+    /// footprint unless `Off`, the trace under `Trace` — and clearing the
+    /// rest.
     pub(crate) fn sample_with(
         &self,
         rng: &mut SmallRng,
@@ -484,12 +711,12 @@ impl<'g> PrrGenerator<'g> {
         trace: &mut Vec<u8>,
     ) -> PrrOutcome {
         let root = NodeId(rng.random_range(0..self.g.num_nodes() as u32));
-        self.captured(root, rng, mode, None, |ph, fp, tr| {
+        self.run(root, rng, self.k as u32, mode, None, |ph, s, fp, tr| {
             footprint.clear();
             footprint.extend_from_slice(fp);
             trace.clear();
             trace.extend_from_slice(tr);
-            self.outcome(ph)
+            self.outcome(ph, s)
         })
     }
 
@@ -497,8 +724,8 @@ impl<'g> PrrGenerator<'g> {
     /// trace (legacy/oracle form): re-runs phase I on the current graph
     /// for the trace's root, reusing every recorded coin whose edge the
     /// mutation batch left untouched and drawing fresh coins only for
-    /// `redraw_node` heads, `redraw_edge` hits, and not-drawn sentinels —
-    /// see [`phase1_tr`](Self::phase1_tr) for why the result is
+    /// `redraw_node` heads, `redraw_edge` hits and in-lists the trace does
+    /// not hold — see `ReplayCoins` for why the result is
     /// distribution-fresh. Writes the replayed sample's new footprint and
     /// trace (against the current graph) into the out-params.
     pub fn replay_with_footprint_trace(
@@ -516,17 +743,18 @@ impl<'g> PrrGenerator<'g> {
             redraw_edge,
         };
         let root = NodeId(replay.old.root);
-        self.captured(
+        self.run(
             root,
             rng,
+            self.k as u32,
             FootprintMode::Trace,
             Some(&replay),
-            |ph, fp, tr| {
+            |ph, s, fp, tr| {
                 footprint.clear();
                 footprint.extend_from_slice(fp);
                 trace.clear();
                 trace.extend_from_slice(tr);
-                self.outcome(ph)
+                self.outcome(ph, s)
             },
         )
     }
@@ -557,17 +785,20 @@ impl<'g> PrrGenerator<'g> {
             redraw_edge,
         };
         let root = NodeId(replay.old.root);
-        self.captured(root, rng, mode, Some(&replay), |ph, fp, tr| {
-            self.store(ph.raw(), shard, fp, tr, mode)
-        })
+        self.run(
+            root,
+            rng,
+            self.k as u32,
+            mode,
+            Some(&replay),
+            |ph, s, fp, tr| self.store(ph, s, shard, fp, tr, mode),
+        )
     }
 
     /// Samples one PRR-graph for a uniformly random root straight into a
     /// sampling `shard` — the streaming pipeline's hot path: Phase-II
     /// output is appended to the shard's flat arrays without ever
-    /// materializing a per-graph [`CompressedPrr`]. Kernel generators run
-    /// the data-oriented phase-I kernel here; scalar oracles run the
-    /// original loop, drawing the identical random stream.
+    /// materializing a per-graph [`CompressedPrr`].
     ///
     /// Returns the sketch cover (the stored graph's critical set). An
     /// empty return means no cover was contributed: the sample was
@@ -586,7 +817,7 @@ impl<'g> PrrGenerator<'g> {
     /// included), or into the empty-sample column for activated /
     /// hopeless ones (those must be refreshable too, or the estimator's
     /// denominator would silently go stale). Trace-retaining modes
-    /// additionally store the sample's queried-edge outcomes for
+    /// additionally store the sample's read in-edge outcomes for
     /// conditional replay. Randomness consumption is identical to the
     /// footprint-free path.
     pub fn sample_into_fp(
@@ -596,84 +827,46 @@ impl<'g> PrrGenerator<'g> {
         mode: FootprintMode,
     ) -> Vec<NodeId> {
         let root = NodeId(rng.random_range(0..self.g.num_nodes() as u32));
-        match &self.soa {
-            // Trace capture is scalar-only: the kernel has no traced
-            // variant, and both loops draw bit-identical streams anyway.
-            Some(soa) if !mode.retains_trace() => {
-                self.kernel_sample_into_fp(soa, root, rng, shard, mode)
-            }
-            _ => self.captured(root, rng, mode, None, |ph, fp, tr| {
-                self.store(ph.raw(), shard, fp, tr, mode)
-            }),
-        }
-    }
-
-    /// Kernel body of [`sample_into_fp`](Self::sample_into_fp): phase I in
-    /// the batched-draw kernel, phase II through the reusable
-    /// [`CompressedParts`] — allocation-free in steady state apart from
-    /// the returned cover. Footprints off, it borrows no footprint
-    /// buffer and sorts nothing.
-    fn kernel_sample_into_fp(
-        &self,
-        soa: &InEdgeSoa,
-        root: NodeId,
-        rng: &mut SmallRng,
-        shard: &mut PrrArenaShard,
-        mode: FootprintMode,
-    ) -> Vec<NodeId> {
-        SCRATCH.with_borrow_mut(|scratch| {
-            if !mode.is_on() {
-                let ph = self.phase1_kernel(soa, root, rng, self.k as u32, None, scratch);
-                let raw = matches!(ph, KernelPhase1::Raw).then_some(RawRef::Local(scratch));
-                return self.store(raw, shard, &[], &[], mode);
-            }
-            FP_SCRATCH.with_borrow_mut(|fp| {
-                fp.clear();
-                let ph = self.phase1_kernel(soa, root, rng, self.k as u32, Some(fp), scratch);
-                fp.sort_unstable();
-                fp.dedup();
-                let raw = matches!(ph, KernelPhase1::Raw).then_some(RawRef::Local(scratch));
-                self.store(raw, shard, fp, &[], mode)
-            })
+        self.run(root, rng, self.k as u32, mode, None, |ph, s, fp, tr| {
+            self.store(ph, s, shard, fp, tr, mode)
         })
     }
 
     /// Phase II for the per-graph entry points: one phase-I result as a
     /// [`PrrOutcome`] (a raw graph that compression finds non-boostable
     /// is hopeless).
-    fn outcome(&self, ph: Phase1) -> PrrOutcome {
+    fn outcome(&self, ph: Phase1, s: &GenScratch) -> PrrOutcome {
         match ph {
             Phase1::Activated => PrrOutcome::Activated,
             Phase1::Hopeless => PrrOutcome::Hopeless,
-            Phase1::Raw(raw) => {
-                compress(&raw, self.k).map_or(PrrOutcome::Hopeless, PrrOutcome::Boostable)
+            Phase1::Raw => {
+                let mut parts = CompressedParts::default();
+                if compress_locals_into(&s.globals, &s.ledges, &s.lseeds, self.k, &mut parts) {
+                    PrrOutcome::Boostable(CompressedPrr::from_parts(parts))
+                } else {
+                    PrrOutcome::Hopeless
+                }
             }
         }
     }
 
-    /// Phase II for the shard entry points: compresses `raw` (if any)
-    /// into the reusable [`CompressedParts`] and stores the sample in
-    /// `shard` — the graph when boostable, an empty entry otherwise —
-    /// with the footprint and trace `mode` retains (empty slices when it
-    /// retains none). Returns the sketch cover.
+    /// Phase II for the shard entry points: compresses a raw result into
+    /// the reusable [`CompressedParts`] and stores the sample in `shard` —
+    /// the graph when boostable, an empty entry otherwise — with the
+    /// footprint and trace `mode` retains (empty slices when it retains
+    /// none). Returns the sketch cover.
     fn store(
         &self,
-        raw: Option<RawRef<'_>>,
+        ph: Phase1,
+        s: &GenScratch,
         shard: &mut PrrArenaShard,
         footprint: &[u32],
         trace: &[u8],
         mode: FootprintMode,
     ) -> Vec<NodeId> {
         PARTS.with_borrow_mut(|parts| {
-            let boostable = match raw {
-                None => false,
-                Some(RawRef::Global(raw)) => {
-                    compress_parts_into(raw.root, &raw.edges, &raw.seeds, self.k, parts)
-                }
-                Some(RawRef::Local(s)) => {
-                    compress_locals_into(&s.globals, &s.ledges, &s.lseeds, self.k, parts)
-                }
-            };
+            let boostable = ph == Phase1::Raw
+                && compress_locals_into(&s.globals, &s.ledges, &s.lseeds, self.k, parts);
             if !boostable {
                 shard.push_empty(footprint, trace, mode);
                 return Vec::new();
@@ -691,611 +884,262 @@ impl<'g> PrrGenerator<'g> {
     /// Exploration is pruned at distance 1 — "there is no need to explore
     /// incoming edges of a node v if `d_r[v] > 1`" (Section V-C) — which is
     /// sound because a critical node needs a live tail to the root and a
-    /// single boost edge fed by a live head from a seed. Kernel generators
-    /// extract the set via stamped scratch arrays; scalar oracles via the
-    /// hash-based [`critical_from_raw`]. Both orders are edge-scan-driven
-    /// and identical.
+    /// single boost edge fed by a live head from a seed. The set is read
+    /// off the search's own state (`X` status and distances), no phase II
+    /// runs.
     pub fn sample_critical_only(&self, rng: &mut SmallRng) -> Vec<NodeId> {
         let root = NodeId(rng.random_range(0..self.g.num_nodes() as u32));
-        match &self.soa {
-            Some(soa) => SCRATCH.with_borrow_mut(|scratch| {
-                match self.phase1_kernel(soa, root, rng, 1, None, scratch) {
-                    KernelPhase1::Activated | KernelPhase1::Hopeless => Vec::new(),
-                    KernelPhase1::Raw => CRIT_SCRATCH.with_borrow_mut(|cs| {
-                        critical_from_scratch(
-                            &scratch.globals,
-                            &scratch.ledges,
-                            &scratch.lseeds,
-                            &self.seed_mask,
-                            cs,
-                        )
-                    }),
-                }
-            }),
-            None => match self.phase1(root, rng, 1) {
-                Phase1::Activated | Phase1::Hopeless => Vec::new(),
-                Phase1::Raw(raw) => critical_from_raw(&raw, &self.seed_mask),
-            },
-        }
+        self.run(root, rng, 1, FootprintMode::Off, None, |ph, s, _, _| {
+            if ph == Phase1::Raw {
+                s.critical()
+            } else {
+                Vec::new()
+            }
+        })
     }
 
-    /// Phase-I raw generation, exposed for tests; prunes at `prune_at`
-    /// boost edges. Always the scalar oracle.
+    /// Phase-I raw generation for `root` at the generator's budget, in
+    /// global ids (`None` when activated or hopeless), exposed for tests
+    /// and probes. Draws exactly what a sample rooted at `root` draws.
     pub fn phase1_raw(&self, root: NodeId, rng: &mut SmallRng) -> Option<RawPrr> {
-        match self.phase1(root, rng, self.k as u32) {
-            Phase1::Raw(raw) => Some(raw),
-            _ => None,
-        }
+        self.run(
+            root,
+            rng,
+            self.k as u32,
+            FootprintMode::Off,
+            None,
+            |ph, s, _, _| (ph == Phase1::Raw).then(|| s.raw_prr()),
+        )
     }
 
-    /// [`phase1_tr`](Self::phase1_tr) capturing nothing.
-    fn phase1(&self, root: NodeId, rng: &mut SmallRng, prune_at: u32) -> Phase1 {
-        self.phase1_tr(root, rng, prune_at, None, None, None)
-    }
-
-    /// Scalar phase I for `root` capturing what `mode` retains — the
-    /// footprint (sorted, deduplicated) unless `Off`, the trace under
-    /// `Trace` — and replaying `replay` when given; hands the result and
-    /// the captured slices (empty where nothing is retained) to `finish`.
-    fn captured<R>(
+    /// Runs the search for `root`, pruned at `prune_at` boosts, on the
+    /// generator's coins — or on `replay`'s when given — and hands the
+    /// result to `finish` (see [`run_with`](Self::run_with)).
+    fn run<R>(
         &self,
         root: NodeId,
         rng: &mut SmallRng,
+        prune_at: u32,
         mode: FootprintMode,
         replay: Option<&Replay<'_>>,
-        finish: impl FnOnce(Phase1, &[u32], &[u8]) -> R,
+        finish: impl FnOnce(Phase1, &GenScratch, &[u32], &[u8]) -> R,
     ) -> R {
-        FP_SCRATCH.with_borrow_mut(|fp| {
-            TRACE_SCRATCH.with_borrow_mut(|tb| {
-                fp.clear();
-                let ph = self.phase1_tr(
-                    root,
-                    rng,
-                    self.k as u32,
-                    mode.is_on().then_some(&mut *fp),
-                    mode.retains_trace().then_some(&mut *tb),
+        match (replay, &self.soa) {
+            (Some(replay), _) => {
+                let mut coins = ReplayCoins {
                     replay,
-                );
-                fp.sort_unstable();
-                fp.dedup();
-                let trace: &[u8] = if mode.retains_trace() { &tb.buf } else { &[] };
-                finish(ph, fp, trace)
+                    fresh: ScalarCoins::new(self.g, rng),
+                };
+                self.run_with(root, prune_at, mode, &mut coins, finish)
+            }
+            (None, Some(soa)) => self.run_with(
+                root,
+                prune_at,
+                mode,
+                &mut LaneCoins::new(soa, self.g, rng),
+                finish,
+            ),
+            (None, None) => self.run_with(
+                root,
+                prune_at,
+                mode,
+                &mut ScalarCoins::new(self.g, rng),
+                finish,
+            ),
+        }
+    }
+
+    /// Runs the search on `coins`, capturing what `mode` retains — the
+    /// footprint (sorted) unless `Off`, the trace under `Trace` — and
+    /// hands the result, the scratch holding its lists, and the captured
+    /// slices (empty where nothing is retained) to `finish`.
+    fn run_with<C: CoinSource, R>(
+        &self,
+        root: NodeId,
+        prune_at: u32,
+        mode: FootprintMode,
+        coins: &mut C,
+        finish: impl FnOnce(Phase1, &GenScratch, &[u32], &[u8]) -> R,
+    ) -> R {
+        SCRATCH.with_borrow_mut(|s| {
+            FP_SCRATCH.with_borrow_mut(|fp| {
+                TRACE_SCRATCH.with_borrow_mut(|tb| {
+                    fp.clear();
+                    let mut cap = Capture {
+                        footprint: mode.is_on().then_some(&mut *fp),
+                        trace: mode.retains_trace().then_some(&mut *tb),
+                    };
+                    let ph = self.search(root.0, prune_at, coins, s, &mut cap);
+                    fp.sort_unstable();
+                    let trace: &[u8] = if mode.retains_trace() { &tb.buf } else { &[] };
+                    finish(ph, s, fp, trace)
+                })
             })
         })
     }
 
-    /// The scalar phase-I loop: one `rng.random::<f64>()` per queried
-    /// edge over [`DiGraph::in_edges`], fresh `Vec`s per sample.
-    ///
-    /// When `footprint` is given, every node whose in-edge enumeration
-    /// begins is appended to it (unsorted; a node appears at most once
-    /// because only the entry matching the settled distance expands). A
-    /// seed root queries nothing and leaves the footprint empty. When
-    /// `trace` is given, the outcome of every queried edge is recorded
-    /// into the per-sample [`TraceBuf`]. Capture consumes no randomness,
-    /// so every capture draws the same stream.
-    ///
-    /// With `replay` the loop is the conditional replay (Ohsaka-style) of
-    /// an invalidated sample on the *current* graph: it reuses the
-    /// recorded coin of every edge whose law is unchanged and draws a
-    /// fresh coin only where the mutation batch touched:
-    ///
-    /// * `redraw_node(u)` — `u`'s in-edge list changed structurally
-    ///   (insert/remove head): every coin of `u`'s in-edges is redrawn,
-    ///   positional correspondence with the record is void;
-    /// * `redraw_edge(v, u)` — the edge `(v, u)` had its probabilities
-    ///   rewritten in place: only that coin is redrawn;
-    /// * a popped node with no record, or whose captured in-degree
-    ///   disagrees with the current one, is redrawn wholesale;
-    /// * a [`TRACE_NOT_DRAWN`] sentinel (the capturing run returned
-    ///   `Activated` before drawing) is a deferred decision — drawn
-    ///   fresh now.
-    ///
-    /// By the principle of deferred decisions the replayed sample is an
-    /// exact draw from the new graph's PRR distribution, *jointly* with
-    /// the untouched survivors — the coupling that makes trace-retention
-    /// refresh distribution-fresh under partial churn where unconditioned
-    /// redraw is not. A replay that holds no retained coin draws exactly
-    /// what a fresh sample from the same RNG state would.
-    fn phase1_tr(
+    /// The X-pruned phase I (see the module docs): settles the root, then
+    /// a backward 0-1 BFS that expands only popped nodes proven outside
+    /// `X` and below `prune_at`, leaving the raw graph in `s`.
+    fn search<C: CoinSource>(
         &self,
-        root: NodeId,
-        rng: &mut SmallRng,
+        root: u32,
         prune_at: u32,
-        mut footprint: Option<&mut Vec<u32>>,
-        mut trace: Option<&mut TraceBuf>,
-        replay: Option<&Replay<'_>>,
+        coins: &mut C,
+        s: &mut GenScratch,
+        cap: &mut Capture<'_>,
     ) -> Phase1 {
-        if let Some(tb) = trace.as_deref_mut() {
-            tb.begin(root.0);
+        if let Some(tb) = cap.trace.as_deref_mut() {
+            tb.begin(root);
         }
-        if self.seed_mask.contains(root) {
+        if self.seed_mask.contains(NodeId(root)) {
             return Phase1::Activated;
         }
-        SCRATCH.with_borrow_mut(|scratch| {
-            scratch.begin(self.g.num_nodes());
-            let mut deque: std::collections::VecDeque<(u32, u32)> =
-                std::collections::VecDeque::new();
-            let mut edges: Vec<(u32, u32, bool)> = Vec::new();
-            let mut seeds_found: Vec<u32> = Vec::new();
-
-            scratch.set(root.0, 0);
-            deque.push_back((root.0, 0));
-
-            while let Some((u, du)) = deque.pop_front() {
-                if du > scratch.get(u) {
-                    continue; // stale entry: u was settled at a smaller distance
-                }
-                if let Some(fp) = footprint.as_deref_mut() {
-                    fp.push(u);
-                }
-                let deg = self.g.in_degree(NodeId(u));
-                if let Some(tb) = trace.as_deref_mut() {
-                    tb.begin_node(u, deg);
-                }
-                let record = replay.and_then(|r| Some((r, r.record(u, deg)?)));
-                for (i, (v, p)) in self.g.in_edges(NodeId(u)).enumerate() {
-                    let mut outcome = match record {
-                        Some((r, off)) if !(r.redraw_edge)(v.0, u) => r.old.outcome(off, i),
-                        _ => TRACE_NOT_DRAWN,
-                    };
-                    if outcome == TRACE_NOT_DRAWN {
-                        // Sample the three-way status on first (and only) touch.
-                        let x: f64 = rng.random();
-                        outcome = if x < p.base {
-                            TRACE_LIVE
-                        } else if x < p.boosted {
-                            TRACE_BOOST
-                        } else {
-                            TRACE_BLOCKED
-                        };
-                    }
-                    if let Some(tb) = trace.as_deref_mut() {
-                        tb.record(i, outcome);
-                    }
-                    if outcome == TRACE_BLOCKED {
-                        continue; // blocked
-                    }
-                    let boost = outcome == TRACE_BOOST;
-                    let dvr = du + boost as u32;
-                    if dvr > prune_at {
-                        continue; // pruning: needs more than k boosts
-                    }
-                    edges.push((v.0, u, boost));
-                    let old = scratch.get(v.0);
-                    if dvr < old {
-                        scratch.set(v.0, dvr);
-                        if self.seed_mask.contains(v) {
-                            if dvr == 0 {
-                                return Phase1::Activated;
-                            }
-                            if old == GenScratch::INF {
-                                seeds_found.push(v.0);
-                            }
-                        } else if dvr == du {
-                            deque.push_front((v.0, dvr));
-                        } else {
-                            deque.push_back((v.0, dvr));
-                        }
-                    }
-                }
-            }
-
-            if seeds_found.is_empty() {
-                Phase1::Hopeless
-            } else {
-                Phase1::Raw(RawPrr {
-                    root: root.0,
-                    edges,
-                    seeds: seeds_found,
-                })
-            }
-        })
-    }
-
-    /// Data-oriented phase I: identical semantics and random stream to
-    /// [`phase1`](Self::phase1), but walking the packed lane with batched
-    /// uniform draws and emitting *sample-local* node/edge/seed lists into
-    /// `scratch` for the compression core to consume without any
-    /// global→local relabeling pass.
-    ///
-    /// Local ids are assigned on first touch. That reproduces exactly the
-    /// first-appearance order compression's scalar localization would
-    /// assign over the global edge list (root first, then each edge's
-    /// endpoints in scan order): every non-root node's first appearance in
-    /// the edge list is as the tail of the edge on which the BFS first
-    /// touches it — it cannot appear as a head earlier, because heads are
-    /// expanded nodes and expansion requires an earlier first touch — and
-    /// a first touch always relaxes (the stored distance is `INF`).
-    fn phase1_kernel(
-        &self,
-        soa: &InEdgeSoa,
-        root: NodeId,
-        rng: &mut SmallRng,
-        prune_at: u32,
-        mut footprint: Option<&mut Vec<u32>>,
-        scratch: &mut GenScratch,
-    ) -> KernelPhase1 {
-        if self.seed_mask.contains(root) {
-            return KernelPhase1::Activated;
+        s.begin(self.g.num_nodes());
+        s.touch(root, &self.seed_mask);
+        if self.settle(0, coins, s, cap) {
+            return Phase1::Activated;
         }
-        scratch.begin(self.g.num_nodes());
-        let GenScratch {
-            meta,
-            round,
-            deque,
-            globals,
-            ledges,
-            lseeds,
-            uniforms,
-        } = scratch;
-        let round = *round;
-        let lane = soa.lane();
-        let offsets = self.g.in_offsets();
-        let probs = self.g.in_probs();
-
-        meta[root.0 as usize] = NodeMeta {
-            stamp: round,
-            dist: 0,
-            lid: 0,
-        };
-        globals.push(root.0);
-        deque.push_back((root.0, 0));
-
-        // Rolling uniform buffer, shared across node boundaries. `saved`
-        // snapshots the RNG before each bulk refill; `pos` counts uniforms
-        // consumed since. On ANY exit the RNG is rewound to the snapshot
-        // and advanced exactly `pos` draws, leaving it bit-identical to
-        // the scalar oracle's one-draw-per-touched-edge stream. Refills
-        // grow from `UNIFORM_BATCH_MIN` to `UNIFORM_BATCH`; the batch size
-        // never affects the stream, only how far the RNG runs ahead.
-        let mut saved = rng.clone();
-        let mut pos: usize = 0;
-        let mut batch: usize = 0;
-
-        while let Some((u, du)) = deque.pop_front() {
-            // Deque entries are stamped this round by construction.
-            if du > meta[u as usize].dist {
+        s.local[0].dist = 0;
+        s.deque.push_back((0, 0));
+        while let Some((u, du)) = s.deque.pop_front() {
+            if du > s.local[u as usize].dist {
                 continue; // stale entry: u was settled at a smaller distance
             }
-            if let Some(fp) = footprint.as_deref_mut() {
-                fp.push(u);
+            let in_x = match s.local[u as usize].x {
+                X_IN => true,
+                X_OUT => false,
+                _ => self.settle(u, coins, s, cap),
+            };
+            if in_x {
+                s.lseeds.push(u);
+                continue;
             }
-            let ul = meta[u as usize].lid;
-            let (lo, hi) = (
-                offsets[u as usize] as usize,
-                offsets[u as usize + 1] as usize,
-            );
-            // One-expansion lookahead: start fetching the lane lines of the
-            // next nodes in the deque while this node is processed (their
-            // offset entries were prefetched when they were pushed).
-            for &(w, _) in deque.iter().take(2) {
-                prefetch(&meta[w as usize]);
-                let wlo = offsets[w as usize] as usize;
-                if wlo < lane.len() {
-                    prefetch(&lane[wlo]);
-                }
+            if du == prune_at {
+                continue; // budget boundary: compression keeps nothing here
             }
-            // Heads are known before any draw: issue their per-node state
-            // loads for the whole range (rolling beyond PREFETCH_AHEAD) so
-            // the kept-edge lookups below overlap their cache misses.
-            for e in lo..hi.min(lo + PREFETCH_AHEAD) {
-                prefetch(&meta[lane[e].head() as usize]);
-            }
-            for e in lo..hi {
-                if e + PREFETCH_AHEAD < hi {
-                    prefetch(&meta[lane[e + PREFETCH_AHEAD].head() as usize]);
-                }
-                if pos == batch {
-                    batch = if batch == 0 {
-                        UNIFORM_BATCH_MIN
-                    } else {
-                        (batch * 2).min(UNIFORM_BATCH)
-                    };
-                    saved = rng.clone();
-                    rng.fill_u64(&mut uniforms[..batch]);
-                    pos = 0;
-                }
-                let bits = uniforms[pos];
-                pos += 1;
-                // Same three-way split as the scalar loop on x = unit_f64(bits):
-                // x ≥ boosted ⇒ blocked, x < base ⇒ live, otherwise boost.
-                // The packed thresholds decide; the exact probabilities are
-                // read only on a 16-bit tie.
-                let r = lane[e];
-                if coin_at_least(bits, r.boosted_hi(), || probs[e].boosted) {
-                    continue; // blocked (the common case)
-                }
-                let boost = coin_at_least(bits, r.base_hi(), || probs[e].base);
-                let dvr = du + boost as u32;
-                if dvr > prune_at {
-                    continue; // pruning: needs more than k boosts
-                }
-                let v = r.head();
-                let to_packed = ul | if boost { LEDGE_BOOST } else { 0 };
-                let mi = v as usize;
-                let m = meta[mi];
-                if m.stamp != round {
-                    // First touch: assign the next local id; the stored
-                    // distance is INF, so the relaxation is unconditional.
-                    let l = globals.len() as u32;
-                    meta[mi] = NodeMeta {
-                        stamp: round,
-                        dist: dvr,
-                        lid: l,
-                    };
-                    globals.push(v);
-                    ledges.push((l, to_packed));
-                    if self.seed_mask.contains(NodeId(v)) {
-                        if dvr == 0 {
-                            *rng = saved;
-                            for _ in 0..pos {
-                                rng.next_u64();
-                            }
-                            return KernelPhase1::Activated;
-                        }
-                        lseeds.push(l);
-                    } else if dvr == du {
-                        prefetch(&offsets[mi]);
-                        deque.push_front((v, dvr));
-                    } else {
-                        prefetch(&offsets[mi]);
-                        deque.push_back((v, dvr));
-                    }
+            let Local { lo, hi, .. } = s.local[u as usize];
+            for i in lo as usize..hi as usize {
+                let p = s.block[i];
+                let (t, boost) = if p & LEDGE_BOOST == 0 {
+                    (p, 0)
                 } else {
-                    ledges.push((m.lid, to_packed));
-                    if dvr < m.dist {
-                        meta[mi].dist = dvr;
-                        if self.seed_mask.contains(NodeId(v)) {
-                            if dvr == 0 {
-                                *rng = saved;
-                                for _ in 0..pos {
-                                    rng.next_u64();
-                                }
-                                return KernelPhase1::Activated;
-                            }
-                            // Seeds are recorded on first touch only.
-                        } else if dvr == du {
-                            prefetch(&offsets[mi]);
-                            deque.push_front((v, dvr));
-                        } else {
-                            prefetch(&offsets[mi]);
-                            deque.push_back((v, dvr));
-                        }
+                    (s.touch(p & LEDGE_MASK, &self.seed_mask), LEDGE_BOOST)
+                };
+                s.ledges.push((t, u | boost));
+                let dt = du + (boost != 0) as u32;
+                let lt = &mut s.local[t as usize];
+                if dt < lt.dist {
+                    lt.dist = dt;
+                    if boost == 0 {
+                        s.deque.push_front((t, dt));
+                    } else {
+                        s.deque.push_back((t, dt));
                     }
                 }
             }
         }
-
-        // Resync after over-drawing the tail of the last batch. When the
-        // buffer is exactly exhausted (or never filled) the RNG already
-        // sits at the scalar stream position.
-        if pos != batch {
-            *rng = saved;
-            for _ in 0..pos {
-                rng.next_u64();
-            }
-        }
-
-        if lseeds.is_empty() {
-            KernelPhase1::Hopeless
+        if s.lseeds.is_empty() {
+            Phase1::Hopeless
         } else {
-            KernelPhase1::Raw
-        }
-    }
-}
-
-/// Extracts the critical set straight from a phase-I raw graph:
-/// `v ∈ C_R` iff some boost edge `(u, v)` has `u` live-reachable from a
-/// seed and `v` live-reaching the root.
-///
-/// This is the hash-based reference; the kernel path runs the
-/// stamped-scratch [`critical_from_scratch`] equivalent, whose output
-/// order (first occurrence in edge-scan order) is identical.
-pub fn critical_from_raw(raw: &RawPrr, seed_mask: &BoostMask) -> Vec<NodeId> {
-    use std::collections::{HashMap, HashSet};
-
-    // Build adjacency over the raw edge list (local, hash-based: raw graphs
-    // are small relative to the host graph).
-    let mut live_out: HashMap<u32, Vec<u32>> = HashMap::new();
-    let mut live_in: HashMap<u32, Vec<u32>> = HashMap::new();
-    for &(u, v, boost) in &raw.edges {
-        if !boost {
-            live_out.entry(u).or_default().push(v);
-            live_in.entry(v).or_default().push(u);
+            Phase1::Raw
         }
     }
 
-    // X: live-forward closure of the seeds.
-    let mut x_set: HashSet<u32> = raw.seeds.iter().copied().collect();
-    let mut stack: Vec<u32> = raw.seeds.clone();
-    while let Some(u) = stack.pop() {
-        if let Some(outs) = live_out.get(&u) {
-            for &v in outs {
-                if x_set.insert(v) {
-                    stack.push(v);
+    /// Settles whether local node `u` (status open, not a seed) is in `X`
+    /// by a backward walk over live in-edges, drawing the in-list of every
+    /// node it visits for the first time. A live tail in `X` ends the walk
+    /// (its hit propagates forward, reaching `u`); a walk that runs out
+    /// proves every node it visited to be outside `X`.
+    fn settle<C: CoinSource>(
+        &self,
+        u: u32,
+        coins: &mut C,
+        s: &mut GenScratch,
+        cap: &mut Capture<'_>,
+    ) -> bool {
+        s.walks += 1;
+        let walk = s.walks;
+        s.walked.clear();
+        s.stack.clear();
+        s.local[u as usize].walk = walk;
+        s.walked.push(u);
+        s.stack.push(u);
+        while let Some(w) = s.stack.pop() {
+            if s.local[w as usize].lo == UNDRAWN {
+                self.draw(w, coins, s, cap);
+            }
+            let Local { lo, hi, .. } = s.local[w as usize];
+            for i in lo as usize..hi as usize {
+                let t = s.block[i];
+                if t & LEDGE_BOOST != 0 {
+                    continue;
+                }
+                let lt = &mut s.local[t as usize];
+                match lt.x {
+                    X_IN => {
+                        s.propagate(t);
+                        return true;
+                    }
+                    X_OPEN if lt.walk != walk => {
+                        lt.walk = walk;
+                        s.walked.push(t);
+                        s.stack.push(t);
+                    }
+                    _ => {}
                 }
             }
         }
-    }
-
-    // L: live-backward closure of the root.
-    let mut l_set: HashSet<u32> = HashSet::new();
-    l_set.insert(raw.root);
-    let mut stack = vec![raw.root];
-    while let Some(u) = stack.pop() {
-        if let Some(ins) = live_in.get(&u) {
-            for &v in ins {
-                if l_set.insert(v) {
-                    stack.push(v);
-                }
-            }
+        for &v in &s.walked {
+            s.local[v as usize].x = X_OUT;
         }
+        false
     }
 
-    let mut critical: Vec<NodeId> = Vec::new();
-    let mut seen: HashSet<u32> = HashSet::new();
-    for &(u, v, boost) in &raw.edges {
-        if boost
-            && x_set.contains(&u)
-            && l_set.contains(&v)
-            && !seed_mask.contains(NodeId(v))
-            && seen.insert(v)
-        {
-            critical.push(NodeId(v));
-        }
-    }
-    critical
-}
-
-/// Node-flag bits used by [`critical_from_scratch`].
-const X_FLAG: u8 = 1;
-const L_FLAG: u8 = 2;
-const SEEN_FLAG: u8 = 4;
-
-/// Reusable state for the kernel's critical-set extraction: local live
-/// CSR adjacencies and per-node flag bytes — the hash-free equivalent of
-/// [`critical_from_raw`]'s maps and sets. The phase-I kernel already
-/// emits local ids, so no global→local map is needed here.
-struct CritScratch {
-    out_off: Vec<u32>,
-    out_adj: Vec<u32>,
-    in_off: Vec<u32>,
-    in_adj: Vec<u32>,
-    flags: Vec<u8>,
-    stack: Vec<u32>,
-    cursor: Vec<u32>,
-}
-
-impl CritScratch {
-    fn new() -> Self {
-        CritScratch {
-            out_off: Vec::new(),
-            out_adj: Vec::new(),
-            in_off: Vec::new(),
-            in_adj: Vec::new(),
-            flags: Vec::new(),
-            stack: Vec::new(),
-            cursor: Vec::new(),
-        }
-    }
-}
-
-/// Hash-free critical-set extraction over the kernel's scratch-resident
-/// phase-I output (local-id tables, packed [`LEDGE_BOOST`] edges, root at
-/// local id 0); output-identical to [`critical_from_raw`] (verified by
-/// `critical_only_kernel_matches_scalar`).
-fn critical_from_scratch(
-    globals: &[u32],
-    ledges: &[(u32, u32)],
-    lseeds: &[u32],
-    seed_mask: &BoostMask,
-    cs: &mut CritScratch,
-) -> Vec<NodeId> {
-    let CritScratch {
-        out_off,
-        out_adj,
-        in_off,
-        in_adj,
-        flags,
-        stack,
-        cursor,
-    } = cs;
-
-    let nn = globals.len();
-    let root_l: u32 = 0;
-
-    // Local live CSRs, both directions, per-node lists in edge-scan order.
-    out_off.clear();
-    out_off.resize(nn + 1, 0);
-    in_off.clear();
-    in_off.resize(nn + 1, 0);
-    for &(lu, pv) in ledges {
-        if pv & LEDGE_BOOST == 0 {
-            out_off[lu as usize + 1] += 1;
-            in_off[pv as usize + 1] += 1;
-        }
-    }
-    for i in 1..=nn {
-        out_off[i] += out_off[i - 1];
-        in_off[i] += in_off[i - 1];
-    }
-    out_adj.clear();
-    out_adj.resize(out_off[nn] as usize, 0);
-    in_adj.clear();
-    in_adj.resize(in_off[nn] as usize, 0);
-    cursor.clear();
-    cursor.extend_from_slice(&out_off[..nn]);
-    for &(lu, pv) in ledges {
-        if pv & LEDGE_BOOST == 0 {
-            out_adj[cursor[lu as usize] as usize] = pv;
-            cursor[lu as usize] += 1;
-        }
-    }
-    cursor.clear();
-    cursor.extend_from_slice(&in_off[..nn]);
-    for &(lu, pv) in ledges {
-        if pv & LEDGE_BOOST == 0 {
-            in_adj[cursor[pv as usize] as usize] = lu;
-            cursor[pv as usize] += 1;
-        }
-    }
-
-    flags.clear();
-    flags.resize(nn, 0);
-
-    // X: live-forward closure of the seeds.
-    stack.clear();
-    for &ls in lseeds {
-        if flags[ls as usize] & X_FLAG == 0 {
-            flags[ls as usize] |= X_FLAG;
-            stack.push(ls);
-        }
-    }
-    while let Some(u) = stack.pop() {
+    /// Draws the whole in-list of local node `w`: captures it, keeps its
+    /// non-blocked in-edges as `w`'s block, and chains each live one onto
+    /// its tail's live out-chain.
+    fn draw<C: CoinSource>(
+        &self,
+        w: u32,
+        coins: &mut C,
+        s: &mut GenScratch,
+        cap: &mut Capture<'_>,
+    ) {
+        let u = s.globals[w as usize];
+        let offsets = self.g.in_offsets();
         let (lo, hi) = (
-            out_off[u as usize] as usize,
-            out_off[u as usize + 1] as usize,
+            offsets[u as usize] as usize,
+            offsets[u as usize + 1] as usize,
         );
-        for &v in &out_adj[lo..hi] {
-            if flags[v as usize] & X_FLAG == 0 {
-                flags[v as usize] |= X_FLAG;
-                stack.push(v);
+        if let Some(fp) = cap.footprint.as_deref_mut() {
+            fp.push(u);
+        }
+        if let Some(tb) = cap.trace.as_deref_mut() {
+            tb.begin_node(u, hi - lo);
+        }
+        let start = s.block.len() as u32;
+        let (trace, seeds) = (&mut cap.trace, &self.seed_mask);
+        coins.draw_in_list(u, lo, hi, |i, t, outcome| {
+            if let Some(tb) = trace.as_deref_mut() {
+                tb.record(i, outcome);
             }
-        }
-    }
-
-    // L: live-backward closure of the root.
-    stack.clear();
-    flags[root_l as usize] |= L_FLAG;
-    stack.push(root_l);
-    while let Some(u) = stack.pop() {
-        let (lo, hi) = (in_off[u as usize] as usize, in_off[u as usize + 1] as usize);
-        for &v in &in_adj[lo..hi] {
-            if flags[v as usize] & L_FLAG == 0 {
-                flags[v as usize] |= L_FLAG;
-                stack.push(v);
+            match outcome {
+                TRACE_LIVE => {
+                    let tl = s.touch(t, seeds);
+                    let next = s.local[tl as usize].live;
+                    s.chain.push((w, next));
+                    s.local[tl as usize].live = s.chain.len() as u32 - 1;
+                    s.block.push(tl);
+                }
+                TRACE_BOOST => s.block.push(t | LEDGE_BOOST),
+                _ => {}
             }
-        }
+        });
+        let lw = &mut s.local[w as usize];
+        lw.lo = start;
+        lw.hi = s.block.len() as u32;
     }
-
-    let mut critical: Vec<NodeId> = Vec::new();
-    for &(lu, pv) in ledges {
-        if pv & LEDGE_BOOST == 0 {
-            continue;
-        }
-        let lv = pv & LEDGE_MASK;
-        let gv = globals[lv as usize];
-        if flags[lu as usize] & X_FLAG != 0
-            && flags[lv as usize] & L_FLAG != 0
-            && !seed_mask.contains(NodeId(gv))
-            && flags[lv as usize] & SEEN_FLAG == 0
-        {
-            flags[lv as usize] |= SEEN_FLAG;
-            critical.push(NodeId(gv));
-        }
-    }
-    critical
 }
 
 /// Evaluates `f_R(B)` directly on a phase-I raw graph (reference
@@ -1331,27 +1175,30 @@ pub fn raw_f(raw: &RawPrr, boost: &BoostMask) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compress::compress_parts;
+    use crate::graph::PrrEvalScratch;
+    use crate::reference;
+    use kboost_graph::generators::{erdos_renyi, preferential_attachment};
+    use kboost_graph::probability::ProbabilityModel;
     use kboost_graph::GraphBuilder;
     use rand::SeedableRng;
 
-    /// Maps the kernel's local-id edge list back to the scalar oracle's
-    /// global `(from, to, is_boost)` representation.
-    fn kernel_global_edges(s: &GenScratch) -> Vec<(u32, u32, bool)> {
-        s.ledges
-            .iter()
-            .map(|&(f, pt)| {
-                (
-                    s.globals[f as usize],
-                    s.globals[(pt & LEDGE_MASK) as usize],
-                    pt & LEDGE_BOOST != 0,
-                )
-            })
-            .collect()
-    }
-
-    /// Maps the kernel's local seed ids back to global ids.
-    fn kernel_global_seeds(s: &GenScratch) -> Vec<u32> {
-        s.lseeds.iter().map(|&l| s.globals[l as usize]).collect()
+    /// Phase I alone for `root`, pruned at `prune_at`, on the generator's
+    /// coins: the outcome class and, when raw, the raw graph.
+    fn phase1(
+        gen: &PrrGenerator,
+        root: NodeId,
+        rng: &mut SmallRng,
+        prune_at: u32,
+    ) -> (Phase1, Option<RawPrr>) {
+        gen.run(
+            root,
+            rng,
+            prune_at,
+            FootprintMode::Off,
+            None,
+            |ph, s, _, _| (ph, (ph == Phase1::Raw).then(|| s.raw_prr())),
+        )
     }
 
     fn figure1() -> DiGraph {
@@ -1439,20 +1286,14 @@ mod tests {
         assert!(raw.edges.contains(&(1, 2, true)));
         assert!(!raw.edges.contains(&(0, 1, true)));
 
-        let soa = gen.soa.as_ref().unwrap();
+        let scalar = PrrGenerator::new_scalar_oracle(&g, &[NodeId(0)], 1);
         let mut rng = SmallRng::seed_from_u64(17);
-        let mut scratch = GenScratch::new();
-        assert!(matches!(
-            gen.phase1_kernel(soa, NodeId(2), &mut rng, 1, None, &mut scratch),
-            KernelPhase1::Raw
-        ));
-        assert_eq!(kernel_global_edges(&scratch), raw.edges);
-        assert_eq!(kernel_global_seeds(&scratch), raw.seeds);
+        let oracle = scalar.phase1_raw(NodeId(2), &mut rng).expect("boostable");
+        assert_eq!(oracle.edges, raw.edges);
+        assert_eq!(oracle.seeds, raw.seeds);
     }
 
     fn er_graph(n: usize, m: usize, seed: u64) -> DiGraph {
-        use kboost_graph::generators::erdos_renyi;
-        use kboost_graph::probability::ProbabilityModel;
         let mut rng = SmallRng::seed_from_u64(seed);
         erdos_renyi(n, m, ProbabilityModel::Constant(0.35), 2.0, &mut rng)
     }
@@ -1460,27 +1301,25 @@ mod tests {
     #[test]
     fn kernel_phase1_matches_scalar_oracle() {
         // Same seed, same root → identical edges, seeds, and (critically)
-        // identical RNG state afterwards, early-Activated rewinds included.
+        // identical RNG state afterwards, the kernel's end-of-sample
+        // resync included.
         for gseed in 0..8u64 {
             let g = er_graph(24, 90, gseed);
-            let gen = PrrGenerator::new(&g, &[NodeId(0), NodeId(1)], 2);
-            let soa = gen.soa.as_ref().unwrap();
-            let mut scratch = GenScratch::new();
+            let kernel = PrrGenerator::new(&g, &[NodeId(0), NodeId(1)], 2);
+            let scalar = PrrGenerator::new_scalar_oracle(&g, &[NodeId(0), NodeId(1)], 2);
             for sseed in 0..40u64 {
                 for root in [2u32, 7, 23] {
                     let mut rng_s = SmallRng::seed_from_u64(sseed * 1000 + root as u64);
                     let mut rng_k = rng_s.clone();
-                    let scalar = gen.phase1(NodeId(root), &mut rng_s, 2);
-                    let kernel =
-                        gen.phase1_kernel(soa, NodeId(root), &mut rng_k, 2, None, &mut scratch);
-                    match (&scalar, &kernel) {
-                        (Phase1::Activated, KernelPhase1::Activated)
-                        | (Phase1::Hopeless, KernelPhase1::Hopeless) => {}
-                        (Phase1::Raw(raw), KernelPhase1::Raw) => {
-                            assert_eq!(raw.edges, kernel_global_edges(&scratch));
-                            assert_eq!(raw.seeds, kernel_global_seeds(&scratch));
-                        }
-                        _ => panic!("outcome diverged (gseed {gseed}, sseed {sseed})"),
+                    let (ph_s, raw_s) = phase1(&scalar, NodeId(root), &mut rng_s, 2);
+                    let (ph_k, raw_k) = phase1(&kernel, NodeId(root), &mut rng_k, 2);
+                    assert_eq!(
+                        ph_s, ph_k,
+                        "outcome diverged (gseed {gseed}, sseed {sseed})"
+                    );
+                    if let (Some(s), Some(k)) = (raw_s, raw_k) {
+                        assert_eq!(s.edges, k.edges);
+                        assert_eq!(s.seeds, k.seeds);
                     }
                     // Streams must stay in lockstep after the sample.
                     assert_eq!(
@@ -1562,9 +1401,8 @@ mod tests {
     fn replay_without_mutation_reproduces_the_sample() {
         // With no mutated edges every coin is reused: the replay must
         // reproduce the original graph, footprint, and trace exactly,
-        // consuming no randomness (except for not-drawn sentinels, which
-        // only arise on early-Activated samples — those have no stored
-        // graph to compare anyway).
+        // consuming no randomness (every record holds a whole in-list;
+        // activated samples have no stored graph to compare anyway).
         for gseed in 0..6u64 {
             let g = er_graph(24, 90, gseed + 300);
             let gen = PrrGenerator::new_scalar_oracle(&g, &[NodeId(0)], 2);
@@ -1647,10 +1485,8 @@ mod tests {
                 );
                 for i in 0..deg as usize {
                     let (was, now) = (old.outcome(old_off, i), new.outcome(off, i));
-                    if was != TRACE_NOT_DRAWN && now != TRACE_NOT_DRAWN {
-                        assert_eq!(was, now, "coin {i} of node {u} redrawn without a mutation");
-                        reused += 1;
-                    }
+                    assert_eq!(was, now, "coin {i} of node {u} redrawn without a mutation");
+                    reused += 1;
                 }
             }
             differ += (tr1 != tr0) as u32;
@@ -1781,7 +1617,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(d.0, 0xd959_b5c7_e7a1_ffc9);
+        assert_eq!(d.0, 0xfe05_f473_88bf_15d6);
     }
 
     #[test]
@@ -1868,5 +1704,239 @@ mod tests {
         }
         // Root is uniform over {0, 1}; roughly half the samples root at 1.
         assert!(found > 3, "critical set never found");
+    }
+
+    /// A pre-drawn world as a coin source: one outcome per in-CSR edge.
+    struct WorldCoins<'a> {
+        sources: &'a [u32],
+        world: &'a [u8],
+    }
+
+    impl CoinSource for WorldCoins<'_> {
+        fn draw_in_list(
+            &mut self,
+            _u: u32,
+            lo: usize,
+            hi: usize,
+            mut f: impl FnMut(usize, u32, u8),
+        ) {
+            for e in lo..hi {
+                f(e - lo, self.sources[e], self.world[e]);
+            }
+        }
+    }
+
+    /// Draws a world of `g`: one [`scalar_coin`] per in-CSR edge.
+    fn world(g: &DiGraph, rng: &mut SmallRng) -> Vec<u8> {
+        g.in_probs().iter().map(|&p| scalar_coin(rng, p)).collect()
+    }
+
+    /// A sample's outcome class, with a boostable graph as sets of global
+    /// ids (local orders differ between the two searches).
+    #[derive(Debug, PartialEq)]
+    enum Sets {
+        Activated,
+        Hopeless,
+        Boostable {
+            root: u32,
+            nodes: Vec<u32>,
+            edges: Vec<(u32, u32, bool)>,
+            critical: Vec<u32>,
+        },
+    }
+
+    fn sets(p: &CompressedParts) -> Sets {
+        let g = &p.globals;
+        let mut nodes = g.clone();
+        nodes.sort_unstable();
+        let mut edges = Vec::new();
+        for u in 0..g.len() {
+            let (lo, hi) = (p.adj_off[u] as usize, p.adj_off[u + 1] as usize);
+            edges.extend(p.adj[lo..hi].iter().map(|&(v, b)| (g[u], g[v as usize], b)));
+        }
+        edges.sort_unstable();
+        let mut critical: Vec<u32> = p.critical.iter().map(|v| v.0).collect();
+        critical.sort_unstable();
+        Sets::Boostable {
+            root: g[p.root as usize],
+            nodes,
+            edges,
+            critical,
+        }
+    }
+
+    /// Runs the reference full BFS and the search on one world, at `k`
+    /// and at k = 1, and asserts the same outcome class and compressed
+    /// graph, the same k = 1 critical set, and, unless activated, a
+    /// footprint inside the reference's. Returns the class, the
+    /// reference's raw graph and the search's compressed one for `f_R(B)`
+    /// checks.
+    fn check_world(
+        g: &DiGraph,
+        seeds: &[NodeId],
+        k: usize,
+        root: NodeId,
+        world: &[u8],
+    ) -> (Sets, Option<RawPrr>, Option<CompressedPrr>) {
+        let mask = BoostMask::from_nodes(g.num_nodes(), seeds);
+        let gen = PrrGenerator::new_scalar_oracle(g, seeds, k);
+        let mut coins = WorldCoins {
+            sources: g.in_sources(),
+            world,
+        };
+
+        let mut expanded = Vec::new();
+        let (want, ref_raw) =
+            match reference::phase1(g, &mask, root, k as u32, |e| world[e], &mut expanded) {
+                reference::Phase1::Activated => (Sets::Activated, None),
+                reference::Phase1::Hopeless => (Sets::Hopeless, None),
+                reference::Phase1::Raw(raw) => {
+                    let want = compress_parts(&raw, k).map_or(Sets::Hopeless, |p| sets(&p));
+                    (want, Some(raw))
+                }
+            };
+        let (got, graph, footprint) = gen.run_with(
+            root,
+            k as u32,
+            FootprintMode::Compressed,
+            &mut coins,
+            |ph, s, fp, _| {
+                let mut parts = CompressedParts::default();
+                let boostable = ph == Phase1::Raw
+                    && compress_locals_into(&s.globals, &s.ledges, &s.lseeds, k, &mut parts);
+                let got = match ph {
+                    Phase1::Activated => Sets::Activated,
+                    _ if boostable => sets(&parts),
+                    _ => Sets::Hopeless,
+                };
+                let graph = boostable.then(|| CompressedPrr::from_parts(parts));
+                (got, graph, fp.to_vec())
+            },
+        );
+        assert_eq!(got, want, "root {root:?}, k {k}");
+        if got != Sets::Activated {
+            expanded.sort_unstable();
+            for v in &footprint {
+                assert!(
+                    expanded.binary_search(v).is_ok(),
+                    "node {v} read outside the reference's footprint"
+                );
+            }
+        }
+
+        let want_critical =
+            match reference::phase1(g, &mask, root, 1, |e| world[e], &mut Vec::new()) {
+                reference::Phase1::Raw(raw) => {
+                    compress_parts(&raw, 1).map_or(Vec::new(), |p| p.critical)
+                }
+                _ => Vec::new(),
+            };
+        let mut got_critical =
+            gen.run_with(root, 1, FootprintMode::Off, &mut coins, |ph, s, _, _| {
+                if ph == Phase1::Raw {
+                    s.critical()
+                } else {
+                    Vec::new()
+                }
+            });
+        let mut want_critical = want_critical;
+        got_critical.sort_unstable();
+        want_critical.sort_unstable();
+        assert_eq!(
+            got_critical, want_critical,
+            "k = 1 critical set, root {root:?}"
+        );
+        (got, ref_raw, graph)
+    }
+
+    #[test]
+    fn search_matches_full_bfs_on_er_worlds() {
+        // compress.rs's ER families: (8, 20) at p = 0.4 with one seed and
+        // (9, 24) with two, boost factor 2.5; (n, 2n + 4) with n in
+        // 10..13, p in 0.2..0.7 and 1–3 seeds, boost factor 2.
+        let mut classes = [0usize; 3];
+        let mut scratch = PrrEvalScratch::default();
+        for gseed in 0..90u64 {
+            let mut rng = SmallRng::seed_from_u64(gseed);
+            let (g, seeds, budgets): (DiGraph, Vec<NodeId>, &[usize]) = match gseed % 3 {
+                0 => (
+                    erdos_renyi(8, 20, ProbabilityModel::Constant(0.4), 2.5, &mut rng),
+                    vec![NodeId(0)],
+                    &[1, 2, 3],
+                ),
+                1 => (
+                    erdos_renyi(9, 24, ProbabilityModel::Constant(0.4), 2.5, &mut rng),
+                    vec![NodeId(0), NodeId(1)],
+                    &[2],
+                ),
+                _ => {
+                    let n = 10 + (gseed / 3 % 3) as usize;
+                    let p = [0.2, 0.45, 0.7][(gseed / 9 % 3) as usize];
+                    let seeds = (0..1 + (gseed / 3 % 3) as u32).map(NodeId).collect();
+                    let g = erdos_renyi(n, 2 * n + 4, ProbabilityModel::Constant(p), 2.0, &mut rng);
+                    (g, seeds, &[1, 2, 3])
+                }
+            };
+            let n = g.num_nodes();
+            for &k in budgets {
+                for _ in 0..25 {
+                    let root = NodeId(rng.random_range(0..n as u32));
+                    let w = world(&g, &mut rng);
+                    let (class, ref_raw, graph) = check_world(&g, &seeds, k, root, &w);
+                    classes[match class {
+                        Sets::Activated => 0,
+                        Sets::Hopeless => 1,
+                        Sets::Boostable { .. } => 2,
+                    }] += 1;
+                    let Some(raw) = ref_raw else {
+                        continue;
+                    };
+                    // Exhaustive f_R(B) over |B| ≤ k against the
+                    // reference's raw graph.
+                    for bits in (0u32..1 << n).filter(|b| b.count_ones() as usize <= k) {
+                        let b: Vec<_> = (0..n as u32)
+                            .filter(|i| bits >> i & 1 == 1)
+                            .map(NodeId)
+                            .collect();
+                        let mask = BoostMask::from_nodes(n, &b);
+                        assert_eq!(
+                            graph.as_ref().is_some_and(|c| c.f(&mask, &mut scratch)),
+                            raw_f(&raw, &mask),
+                            "f_R({b:?}) differs (graph seed {gseed}, k {k})"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            classes.iter().all(|&c| c > 50),
+            "degenerate families: {classes:?}"
+        );
+    }
+
+    #[test]
+    fn search_matches_full_bfs_on_pa_worlds() {
+        // compressed_parts_digest_is_pinned's family: a 3,000-node
+        // LogNormal preferential-attachment graph with 20 seeds.
+        let mut rng = SmallRng::seed_from_u64(2017);
+        let model = ProbabilityModel::LogNormal {
+            mu: -1.93,
+            sigma: 1.0,
+            cap: 1.0,
+        };
+        let g = preferential_attachment(3_000, 4, 0.15, model, 2.0, &mut rng);
+        let seeds: Vec<NodeId> = (0..20).map(|i| NodeId(i * 149 + 3)).collect();
+        let mut boostable = 0usize;
+        for k in [1usize, 2, 5, 50] {
+            for _ in 0..600 {
+                let root = NodeId(rng.random_range(0..g.num_nodes() as u32));
+                let w = world(&g, &mut rng);
+                boostable += check_world(&g, &seeds, k, root, &w).2.is_some() as usize;
+            }
+        }
+        assert!(
+            boostable > 100,
+            "only {boostable} boostable samples compared"
+        );
     }
 }

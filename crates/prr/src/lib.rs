@@ -10,14 +10,18 @@
 //! Modules:
 //!
 //! * [`gen`] — Algorithm 1: backward 0-1 BFS from the root with status
-//!   sampling, distance pruning at `k`, and early classification into
-//!   *activated* / *hopeless* / *boostable*. Two loops: the data-oriented
-//!   kernel, and the scalar loop that is its oracle and also captures
-//!   coin traces and replays them conditionally.
+//!   sampling and distance pruning at `k`, stopped at the seeds' live
+//!   closure `X` (a popped node's `X` status is settled by a backward
+//!   walk over live edges that stops at the first seed or known-`X`
+//!   node), and classification into *activated* / *hopeless* /
+//!   *boostable*. One search, generic over its coin source: the kernel's
+//!   packed lane, the scalar oracle's per-edge draws, or a conditional
+//!   replay of a retained coin trace.
 //! * [`compress`] — Phase II: merge the live-reachable seed region into a
-//!   super-seed, remove nodes off all super-seed→root paths or beyond the
-//!   `k`-boost budget, and shortcut live-reaching nodes straight to the
-//!   root. Compression preserves `f_R(B)` for every `|B| ≤ k`.
+//!   super-seed (phase I hands over only its boundary), remove nodes off
+//!   all super-seed→root paths or beyond the `k`-boost budget, and
+//!   shortcut live-reaching nodes straight to the root. Compression
+//!   preserves `f_R(B)` for every `|B| ≤ k`.
 //! * [`graph`] — the compressed representation with `f_R(B)` evaluation,
 //!   critical nodes `C_R = {v : f_R({v}) = 1}`, and the *B-augmented*
 //!   critical set used by the greedy `Δ̂` selection.
@@ -35,9 +39,9 @@
 //!   the borrowed per-graph evaluation interface. Supports tombstoning
 //!   and order-preserving compaction so the online maintainer
 //!   (`kboost-online`) can retire stale graphs in place.
-//! * [`footprint`] — per-sample *edge-space footprints* (the expanded-node
-//!   set of phase I) retained as flat [`FootprintColumn`]s —
-//!   delta-varint compressed blobs with an interning dictionary, a
+//! * [`footprint`] — per-sample *edge-space footprints* (the nodes whose
+//!   in-lists phase I read) retained as flat [`FootprintColumn`]s —
+//!   delta-varint compressed blobs (long ones interned), a
 //!   hybrid exact-below / bloom-above split, or the trace-retaining
 //!   tier that additionally stores each sample's
 //!   queried-edge outcomes for conditional replay — for the online
@@ -54,6 +58,8 @@ pub mod compress;
 pub mod footprint;
 pub mod gen;
 pub mod graph;
+#[cfg(test)]
+mod reference;
 pub mod select;
 pub mod source;
 

@@ -21,10 +21,10 @@
 //!   (`kboost_online::rebuild_from_history`) keeps its pools in this
 //!   form. Do not use it outside tests/benches.
 //!
-//! [`PrrFullSource`] and [`PrrLbSource`] sample through the data-oriented
-//! phase-I kernel; the legacy source always runs the scalar loop. Since
-//! both must produce identical bytes under a shared seed, every
-//! shard-vs-legacy test doubles as a continuous kernel-vs-oracle
+//! [`PrrFullSource`] and [`PrrLbSource`] draw the phase-I search's coins
+//! from the kernel's packed lane; the legacy source always draws scalar
+//! coins. Since both must produce identical bytes under a shared seed,
+//! every shard-vs-legacy test doubles as a continuous kernel-vs-oracle
 //! verification. The `scalar_oracle` constructors additionally expose
 //! scalar variants of the streaming sources for direct A/B comparison.
 
@@ -62,34 +62,27 @@ impl<'g> PrrFullSource<'g> {
     }
 
     /// Creates the source for `(G, S, k)` retaining per-sample footprints
-    /// in the given mode. Samples through the data-oriented phase-I
-    /// kernel — except for trace-retaining modes, which are scalar-only
-    /// (the kernel has no traced variant; the stream and every stored
-    /// byte are identical either way, so only throughput differs).
+    /// in the given mode. Samples on the kernel's packed-lane coins, trace
+    /// capture included.
     pub fn with_footprints(
         g: &'g DiGraph,
         seeds: &[NodeId],
         k: usize,
         mode: FootprintMode,
     ) -> Self {
-        let generator = if mode.retains_trace() {
-            PrrGenerator::new_scalar_oracle(g, seeds, k)
-        } else {
-            PrrGenerator::new(g, seeds, k)
-        };
         PrrFullSource {
-            generator,
+            generator: PrrGenerator::new(g, seeds, k),
             n: g.num_nodes(),
             candidates: g.num_nodes().saturating_sub(seeds.len()),
             mode,
         }
     }
 
-    /// Like [`with_footprints`](Self::with_footprints), but sampling
-    /// through the scalar oracle loop instead of the kernel. The random
-    /// stream and every produced byte are identical; this constructor
-    /// exists for the kernel-equivalence test suites and the perf
-    /// benchmark's baseline leg.
+    /// Like [`with_footprints`](Self::with_footprints), but drawing the
+    /// scalar oracle's coins instead of the kernel's. The random stream
+    /// and every produced byte are identical; this constructor exists for
+    /// the kernel-equivalence test suites and the perf benchmark's
+    /// baseline leg.
     pub fn scalar_oracle(g: &'g DiGraph, seeds: &[NodeId], k: usize, mode: FootprintMode) -> Self {
         PrrFullSource {
             generator: PrrGenerator::new_scalar_oracle(g, seeds, k),
@@ -135,8 +128,7 @@ impl<'g> PrrLbSource<'g> {
     }
 
     /// Scalar-oracle variant of [`new`](Self::new): identical stream and
-    /// covers, original per-edge loop. For equivalence tests and baseline
-    /// timing.
+    /// covers, scalar coins. For equivalence tests and baseline timing.
     pub fn scalar_oracle(g: &'g DiGraph, seeds: &[NodeId], k: usize) -> Self {
         PrrLbSource {
             generator: PrrGenerator::new_scalar_oracle(g, seeds, k),
@@ -264,8 +256,8 @@ impl<'g> LegacyPrrSource<'g> {
     }
 
     /// Creates the oracle source for `(G, S, k)` capturing what `mode`
-    /// keeps. Always samples through the scalar loop (the per-graph entry
-    /// points are oracle-only), so no packed in-edge lane is built.
+    /// keeps. Always draws scalar coins (the per-graph entry points are
+    /// oracle-only), so no packed in-edge lane is built.
     pub fn with_footprints(
         g: &'g DiGraph,
         seeds: &[NodeId],

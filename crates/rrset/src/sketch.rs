@@ -356,25 +356,27 @@ impl<S: SketchShard> SketchPool<S> {
             };
         }
 
+        // Workers pull chunk indices from one counter. The calling thread
+        // is one of them, so an extension spawns `workers - 1` threads and
+        // never sleeps waiting for a chunk it could have sampled itself.
         let next = std::sync::atomic::AtomicU64::new(0);
-        let mut results: Vec<(u64, ChunkResult<S>)> = std::thread::scope(|scope| {
-            let (tx, rx) = std::sync::mpsc::channel();
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let generate_chunk = &generate_chunk;
-                let progress_at = &progress_at;
-                scope.spawn(move || loop {
-                    let c = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if c >= num_chunks || term.should_stop(&progress_at(c)) {
-                        break;
-                    }
-                    tx.send((c, generate_chunk(c)))
-                        .expect("pool receiver dropped");
-                });
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let c = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if c >= num_chunks || term.should_stop(&progress_at(c)) {
+                    return done;
+                }
+                done.push((c, generate_chunk(c)));
             }
-            drop(tx);
-            rx.into_iter().collect()
+        };
+        let mut results: Vec<(u64, ChunkResult<S>)> = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+            let mut results = work();
+            for h in helpers {
+                results.extend(h.join().expect("sampling worker panicked"));
+            }
+            results
         });
         results.sort_unstable_by_key(|&(c, _)| c);
         // Merge the contiguous prefix only. A timing-dependent stop can

@@ -97,7 +97,7 @@
 //! * **Sampling** ([`rrset::sketch::SketchPool`]): work is cut into
 //!   fixed-size chunks seeded from `(base_seed, global_chunk_index)`;
 //!   workers pull chunks from a shared counter and results merge in chunk
-//!   order. Per-thread generation scratch (the stamped distance array of
+//!   order. Per-thread generation scratch (the stamped node table of
 //!   Algorithm 1) is reused across samples via thread-locals.
 //! * **Storage** ([`prr::arena::PrrArena`]): boostable PRR-graphs are
 //!   flattened into shared arrays — node tables, CSR offsets, packed
@@ -111,23 +111,35 @@
 //!   Bit-identical to the naive full re-traversal
 //!   ([`prr::select::greedy_delta_selection_naive`]), which property
 //!   tests enforce; `BENCH_prr.json` tracks the measured speedup.
-//! * **Estimation** (`core::PrrPool`): `Δ̂` / `µ̂` fan out over contiguous
-//!   arena ranges and sum exact per-range counts, skipping tombstoned
-//!   graphs.
+//! * **Estimation** (`core::PrrPool`): `Δ̂` / `µ̂` count exact hits in
+//!   one sweep of the arena, skipping tombstoned graphs; the batch
+//!   evaluator fans out over contiguous arena ranges on large pools and
+//!   sums exact per-range counts.
 //!
-//! # The data-oriented sampling kernel
+//! # The X-pruned sampling kernel
 //!
-//! Phase-I generation — the four-orders-of-magnitude hot path — runs
-//! through a data-oriented kernel (`prr::gen`, shared in style with the
-//! RR-set sampler in `rrset::ic`), with the original readable loop
-//! retained as a **scalar oracle** that the kernel must match
-//! byte-for-byte (`tests/sampler_kernel.rs` proves it across graph
-//! families, thread counts, footprint modes, and interruption points).
-//! These are the only two phase-I loops: the scalar one also captures
-//! `ExactTrace` coin traces and runs conditional replay, which reuses an
-//! old trace's coins and draws the rest exactly where a fresh sample
-//! would. The legacy per-graph oracle ([`prr::LegacyPrrSource`]) and the
-//! online replay oracle built on it sample through the scalar loop too.
+//! Phase-I generation — the hot path — is one search (`prr::gen`):
+//! a backward 0-1 BFS from the root that expands only nodes proven to lie
+//! outside `X`, the seeds' live closure, which phase II merges into a
+//! super-seed anyway. A popped node's `X` status is settled by a walk
+//! backward over live edges that stops at the first seed or known-`X`
+//! node; a walk that runs out proves everything it visited outside `X`.
+//! Every node the search reads draws its whole in-list once, so a sample
+//! reads ≈140 nodes and ≈1.5k coins at the 60k-node benchmark scale,
+//! where the full BFS it replaced read ≈5.1k nodes and ≈27k coins. For a
+//! fixed world the compressed graph, critical set and outcome class are
+//! those of the full BFS (a world-equivalence suite in `prr::gen` pins it
+//! against the reference full BFS kept for tests).
+//!
+//! The search is generic over its coin source. The **kernel** draws from
+//! the packed lane; the **scalar oracle** draws one
+//! `rng.random::<f64>()` per coin against the exact probabilities and
+//! must match the kernel byte-for-byte (`tests/sampler_kernel.rs` proves
+//! it across graph families, thread counts, footprint modes, and
+//! interruption points); conditional replay of `ExactTrace` coin traces
+//! reuses an old trace's coins and draws the rest exactly where a fresh
+//! sample would. The legacy per-graph oracle ([`prr::LegacyPrrSource`])
+//! and the online replay oracle built on it draw scalar coins.
 //!
 //! * **Packed lane lifecycle**: [`graph::DiGraph::in_edge_soa`] builds
 //!   one 8-byte record per in-edge — the head and the 16-bit coin
@@ -135,41 +147,34 @@
 //!   kernel settles a coin by comparing `bits >> 48` of the drawn `u64`
 //!   with the record and reads the exact probabilities from the graph's
 //!   CSR only on a 16-bit tie ([`graph::coin_at_least`]), so its verdicts
-//!   are the scalar loop's. Offsets and exact probabilities are read from
-//!   the graph itself, never copied. Sources build the lane **once per
-//!   generator**, and every pool build or online mutation epoch
+//!   are the scalar oracle's. Offsets and exact probabilities are read
+//!   from the graph itself, never copied. Sources build the lane **once
+//!   per generator**, and every pool build or online mutation epoch
 //!   constructs a fresh generator (`online::maintain` rebuilds sources
 //!   per epoch), which is what keeps the lane coherent with the evolving
 //!   graph — there is no incremental lane update to get wrong.
-//! * **Batched-draw stream-order invariant**: the kernel bulk-fills a
-//!   uniform buffer via `fill_u64` (first refill small, doubling to the
-//!   batch cap) and consumes one uniform per touched edge *in the scalar
-//!   loop's exact draw order*. Before each refill it snapshots the RNG;
-//!   on any exit — early activation, end of sample — it rewinds to the
-//!   snapshot and replays exactly the consumed draws. The RNG therefore
-//!   leaves every sample in the scalar oracle's state, which is what
-//!   lets kernel and scalar pools share the chunk-seeding determinism
-//!   contract (and lets the two implementations interleave freely,
-//!   sample by sample).
+//! * **Stream order**: every coin source consumes exactly one `u64` per
+//!   coin, in the search's read order, so kernel and scalar pools share
+//!   the chunk-seeding determinism contract (and the two can interleave
+//!   freely, sample by sample).
 //! * **Scratch reuse rules**: all per-sample state — the epoch-stamped
-//!   per-node `{stamp, dist, local-id}` table, BFS deque, edge/seed
-//!   lists, uniform buffer, compression core arrays, critical-set
-//!   extraction flags — lives in thread-local scratch, valid for one
-//!   sample (stamp == round) and reused across samples without
-//!   clearing. Steady-state sampling performs no heap allocation and no
-//!   hashing; phase I emits *sample-local* node ids directly (its
-//!   first-touch order provably equals compression's first-appearance
-//!   order), so phase II skips its global→local relabeling pass, and
-//!   `critical_from_scratch` replaces the oracle's hash-map passes with
-//!   stamped arrays.
+//!   per-node `{stamp, local-id}` table (the only per-graph-node array),
+//!   the sample-local search state (`X` status, in-edge blocks, live
+//!   out-chains, walk stamps, distances), the BFS deque, edge/seed lists
+//!   and the compression core arrays — lives in thread-local scratch,
+//!   valid for one sample (stamp == round) and reused across samples
+//!   without clearing. Steady-state sampling performs no heap allocation
+//!   and no hashing; phase I emits *sample-local* node ids directly, so
+//!   phase II skips its global→local relabeling pass, and the PRR-Boost-LB
+//!   critical set is read off the search's own `X` statuses and
+//!   distances.
 //!
 //! `benches/sampling.rs` tracks the kernel-vs-scalar ratio per graph
-//! family; `BENCH_prr.json` records `samples_per_sec_kernel` and
-//! `kernel_speedup` at the standard 60k-node scale, where the walk is
-//! cache-miss-bound and the kernel's prefetch lookahead pays. On tiny
-//! cache-resident graphs the batching is roughly cost-neutral (the
-//! vendored RNG fills sequentially) — the kernel's floor is parity, its
-//! ceiling is the miss-bound regime.
+//! family; `BENCH_prr.json` records `samples_per_sec_kernel`,
+//! `kernel_speedup` and the phase-I work counters
+//! (`phase1_nodes_per_sample`, `phase1_coins_per_sample`) at the standard
+//! 60k-node scale. The two coin sources differ only in what a coin
+//! costs, so the kernel's edge over the scalar oracle is modest (≈1.1×).
 //!
 //! # Online maintenance
 //!

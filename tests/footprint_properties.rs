@@ -9,8 +9,8 @@
 //!   through the full arena lifecycle — shard pushes, chunk-order
 //!   `absorb`, tombstoning, order-preserving compaction — is
 //!   **byte-equal** to a column freshly pushed with only the survivors,
-//!   in every mode (the interning dictionary re-canonicalizes on
-//!   compaction, so storage history never leaks into the bytes).
+//!   in every mode (interning re-canonicalizes on compaction, so
+//!   storage history never leaks into the bytes).
 //! * **Staleness-query agreement** — over ER, preferential-attachment
 //!   and set-cover-gadget pools, every decodable exact tier answers
 //!   `stale_graphs` / `stale_empty_samples` identically to a ground truth
@@ -106,8 +106,8 @@ proptest! {
                 }
             }
         }
-        // The interner charges a fixed bookkeeping constant per unique
-        // footprint (entry id + dictionary offset + accel-map slot), so
+        // The column charges a fixed bookkeeping cost per footprint
+        // (entry offset, length prefix, interner slots for long blobs), so
         // on tiny all-unique batches compressed storage may trail sorted
         // by that constant — but never by more.  The strict payload win
         // at realistic scale is `compression_wins_at_scale` below.
@@ -123,7 +123,7 @@ proptest! {
     /// The full storage lifecycle is byte-canonical in every mode: a
     /// column built as `push* ; absorb(shard) ; compacted(keep)` equals
     /// the column freshly pushed with only the kept entries — offsets,
-    /// payload bytes, interning dictionary, trace sidecars and all.
+    /// payload bytes, interned blobs, trace sidecars and all.
     #[test]
     fn absorb_then_compact_is_byte_canonical(
         entries in footprints(),
@@ -208,7 +208,7 @@ proptest! {
 }
 
 /// At PRR-pool scale footprints repeat heavily (many samples share the
-/// same compressed frontier), and the interning dictionary turns that
+/// same compressed frontier), and interning long blobs turns that
 /// repetition into a strict byte win over sorted storage.
 #[test]
 fn compression_wins_at_scale() {
