@@ -6,9 +6,8 @@
 //! epochs through `Engine::apply_mutations`. Each epoch's batch is grown
 //! (probability re-draws, removals, insertions on random edges) until it
 //! invalidates ≈ `--churn` of the live stored graphs — sized with the
-//! engine's `stale_graphs` dry run, which the maintainer now answers
-//! from its **incrementally maintained** invalidation index — and is
-//! then applied two ways:
+//! engine's `stale_graphs` dry run, one scan over the live stored
+//! graphs' node tables — and is then applied two ways:
 //!
 //! * **incrementally** (the engine's maintainer: tombstone the stale
 //!   share, resample exactly that many samples under the
@@ -17,13 +16,10 @@
 //!   pre-online deployment would do on every change).
 //!
 //! The recorded `speedup` is `rebuild_secs / refresh_secs` per epoch.
-//! Note on comparability with pre-PR-4 numbers: the maintainer's
-//! invalidation index is now built lazily and kept incrementally, so a
-//! post-compaction rebuild lands in the first *dry run* that needs it
-//! (the untimed `grow_batch` sizing phase here) rather than inside the
-//! timed `apply_mutations` — `refresh_secs` therefore measures
-//! tombstone + resample + index append, which is also what a service
-//! that dry-runs its batches pays on the epoch path.
+//! `refresh_secs` times the whole `apply_mutations` call: graph rebuild,
+//! staleness scan, tombstones, compaction and resample. The scan caches
+//! nothing, so the untimed dry runs of `grow_batch` do none of the timed
+//! epoch's work ahead of it.
 //! Because staleness detection only sees retained node tables, the
 //! incremental pool drifts from a fresh pool's distribution on the
 //! undetected share; `probe_delta_incremental` vs `probe_delta_rebuild`
@@ -213,9 +209,9 @@ fn grow_batch(
     let want = ((live as f64) * churn).ceil() as usize;
     let edges: Vec<(NodeId, NodeId, EdgeProbs)> = g.edges().collect();
     let n = g.num_nodes() as u32;
-    // Grow geometrically between dry runs; the incremental invalidation
-    // index makes each dry run cheap (`O(touched + hits)`), but doubling
-    // still keeps the untimed setup phase short.
+    // Grow geometrically between dry runs: each dry run scans every live
+    // stored graph's node table, so doubling keeps the untimed setup
+    // phase short.
     let mut step = 8usize;
     for _ in 0..64 {
         if engine

@@ -209,8 +209,8 @@ impl EngineBuilder {
     /// Online staleness-detection rule (default
     /// [`Staleness::Approximate`]). The default under-detects: at
     /// `exp_online`'s default scale (20k nodes, 40k samples, ~10 %
-    /// churn) epoch 1 invalidated 672 samples, against 8,738 under exact
-    /// detection (4,536 stored graphs + 4,202 empty samples). The exact
+    /// churn) epoch 1 invalidated 667 samples, against 8,483 under exact
+    /// detection (4,217 stored graphs + 4,266 empty samples). The exact
     /// modes retain a per-sample edge-space footprint so mutations
     /// invalidate exactly the samples whose generation queried them —
     /// zero estimator drift at the cost of footprint memory

@@ -376,7 +376,7 @@ impl Engine {
         self.require_online("stale_graphs")?;
         validate_mutations(self.graph().num_nodes(), mutations).map_err(KboostError::from)?;
         self.ensure_pool()?;
-        let PoolState::Maintained { maintainer, .. } = &mut self.state else {
+        let PoolState::Maintained { maintainer, .. } = &self.state else {
             unreachable!("require_online guarantees the maintained state");
         };
         Ok(maintainer.stale_graphs(mutations))

@@ -400,11 +400,11 @@ fn merge_rows(
 /// The hot lane of the phase-I kernel: one 8-byte [`PackedInEdge`] per
 /// in-edge, in the CSR in-edge order of the [`DiGraph`] it was built from.
 ///
-/// The kernel draws one coin per in-edge of every expanded node and, at
-/// benchmark scale, is bound by the edge bytes it streams rather than by
-/// the draws. Each record therefore carries only what nearly every coin
-/// needs: the head, and the 16-bit coin thresholds of `p'_uv` and
-/// `p_uv` (see [`coin_threshold_hi`]). The exact
+/// The kernel draws one coin per in-edge of every node whose in-list it
+/// reads and, at benchmark scale, is bound by the edge bytes it streams
+/// rather than by the draws. Each record therefore carries only what
+/// nearly every coin needs: the head, and the 16-bit coin thresholds of
+/// `p'_uv` and `p_uv` (see [`coin_threshold_hi`]). The exact
 /// [`EdgeProbs`] stay in the graph's CSR ([`DiGraph::in_probs`]), the cold
 /// lane that [`coin_at_least`] reads only on a 16-bit tie (probability
 /// 2⁻¹⁶ per comparison), and the kernel reads the offsets from

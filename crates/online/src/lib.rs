@@ -14,18 +14,17 @@
 //!   numbered epochs, plus the pure
 //!   [`apply_mutations`](mutation::apply_mutations) graph rebuild.
 //! * [`maintain`] — the [`PoolMaintainer`](maintain::PoolMaintainer):
-//!   maps a mutation batch to the set of stale PRR-graphs through a
-//!   node → graphs inverted index
-//!   ([`NodeIndex`](kboost_prr::NodeIndex), shared with the greedy
-//!   selection), tombstones them in the
-//!   [`PrrArena`](kboost_prr::PrrArena), resamples exactly that share
+//!   maps a mutation batch to the set of stale samples with one scan
+//!   over the live entries of the
+//!   [`PrrArena`](kboost_prr::PrrArena) (node tables or retained
+//!   footprints, by rule), tombstones them, resamples exactly that share
 //!   under the epoch-extended determinism contract, and compacts the
 //!   arena when tombstones exceed a threshold. The naive
 //!   [`rebuild_from_history`](maintain::rebuild_from_history) replay —
 //!   legacy per-graph samples
 //!   ([`LegacySample`](kboost_prr::LegacySample)), eager filtering, no
-//!   tombstones, no index — is the equivalence oracle: one epoch loop
-//!   for every staleness rule, varying only its verdict and its
+//!   tombstones, no arena columns — is the equivalence oracle: one epoch
+//!   loop for every staleness rule, varying only its verdict and its
 //!   refresh.
 //!
 //! # Determinism contract, extended
@@ -53,8 +52,8 @@
 //!   (activated / hopeless) samples, are never refreshed, so `Δ̂` drifts
 //!   from a fresh pool's distribution as mutations accumulate. At
 //!   `exp_online`'s default scale (20k nodes, 40k samples, ~10 % churn)
-//!   epoch 1 invalidated 672 samples, against 8,738 under exact
-//!   detection (4,536 stored graphs + 4,202 empty samples).
+//!   epoch 1 invalidated 667 samples, against 8,483 under exact
+//!   detection (4,217 stored graphs + 4,266 empty samples).
 //! * **`ExactCompressed`** — sampling retains each sample's *edge-space
 //!   footprint* (the set of nodes whose in-edge lists phase I enumerated
 //!   — see `kboost_prr::footprint`), for stored graphs **and** empty

@@ -4,15 +4,14 @@
 //!
 //! 1. the mutated graph is rebuilt ([`apply_mutations`]);
 //! 2. the batch is matched against every live sample under the
-//!    configured [`Staleness`] rule — approximate mode matches mutation
-//!    endpoints against stored node tables through an **incrementally
-//!    maintained** node → graphs invalidation index (CSR [`NodeIndex`]
-//!    base plus an appended tail; see [`PoolMaintainer::stale_graphs`]);
-//!    exact mode matches mutated edge *heads* against the per-sample
-//!    footprints retained at sampling time, stored graphs and empty
-//!    samples alike;
-//! 3. stale entries are [tombstoned](PrrArena::tombstone) (stored graphs)
-//!    or [tombstoned in the empty column](PrrArena::tombstone_empty) —
+//!    configured [`Staleness`] rule, in one scan over the live entries
+//!    (see [`PoolMaintainer::stale_graphs`]) — approximate mode matches
+//!    mutation endpoints against stored node tables; exact mode matches
+//!    mutated edge *heads* against the per-sample footprints retained at
+//!    sampling time, stored graphs and empty samples alike;
+//! 3. stale entries are [tombstoned](kboost_prr::PrrArena::tombstone)
+//!    (stored graphs) or
+//!    [tombstoned in the empty column](kboost_prr::PrrArena::tombstone_empty) —
 //!    each is one sample of the estimator's denominator, so the pool's
 //!    total is debited accordingly;
 //! 4. if tombstones now exceed
@@ -31,10 +30,11 @@
 //! mutation history)` — never of the thread count — so maintained pools
 //! are bit-identical across thread counts, and
 //! [`rebuild_from_history`] (the naive replay oracle: one
-//! [`LegacySample`] per sample from the legacy per-graph source, full
-//! per-sample scans instead of the index, eager filtering instead of
-//! tombstones, one epoch loop for every rule) reproduces the compacted
-//! arena byte for byte — in every staleness mode.
+//! [`LegacySample`] per sample from the legacy per-graph source, verdicts
+//! on raw footprints and per-graph node tables instead of the arena's
+//! columns, eager filtering instead of tombstones, one epoch loop for
+//! every rule) reproduces the compacted arena byte for byte — in every
+//! staleness mode.
 
 use std::collections::HashSet;
 
@@ -43,7 +43,7 @@ use kboost_graph::{DiGraph, NodeId};
 use kboost_obs::{Obs, Value};
 use kboost_prr::{
     greedy_delta_selection, DeltaSelection, FootprintColumn, FootprintMode, FootprintQuery,
-    LegacyPrrSource, LegacySample, NodeIndex, PrrArena, PrrArenaShard, PrrFullSource, PrrGenerator,
+    LegacyPrrSource, LegacySample, PrrArenaShard, PrrFullSource, PrrGenerator,
 };
 use kboost_rrset::sketch::{epoch_stream_seed, ExtendStatus, SketchPool, CHUNK_SIZE};
 use kboost_rrset::terminator::{SampleProgress, Terminator, Unlimited};
@@ -65,16 +65,16 @@ pub enum Staleness {
     /// samples, are never refreshed, so the estimator drifts from a fresh
     /// pool's distribution as mutations accumulate. At `exp_online`'s
     /// default scale (20k nodes, 40k samples, ~10 % churn) epoch 1
-    /// invalidated 672 samples, against 8,738 under exact detection
-    /// (4,536 stored graphs + 4,202 empty samples).
+    /// invalidated 667 samples, against 8,483 under exact detection
+    /// (4,217 stored graphs + 4,266 empty samples).
     #[default]
     Approximate,
     /// Match mutated edge *heads* against the exact per-sample edge-space
-    /// footprint (expanded-node set) retained at sampling time for
-    /// **every** sample, empty ones included, stored as delta-varint
-    /// blobs, long ones interned
-    /// ([`FootprintMode::Compressed`]). Detection is exact and
-    /// index-driven (the blobs decode): a sample is refreshed iff its
+    /// footprint (the nodes whose in-lists phase I read) retained at
+    /// sampling time for **every** sample, empty ones included, stored
+    /// as delta-varint blobs, long ones interned
+    /// ([`FootprintMode::Compressed`]). Detection is exact (the scan
+    /// decodes every live blob): a sample is refreshed iff its
     /// generation queried a mutated edge's slot, so every retained sample
     /// is bitwise what resampling it over the new graph would produce,
     /// and the maintained pool equals the from-scratch exact replay byte
@@ -87,7 +87,13 @@ pub enum Staleness {
     /// is not identical in distribution to an independent fresh pool —
     /// [`ExactTrace`](Staleness::ExactTrace) closes that gap;
     /// `tests/estimator_accuracy.rs` pins both the zero-drift guarantee
-    /// and the residual gap.
+    /// and the residual gap. The redraw also drains boostable samples,
+    /// whose long footprints are invalidated far more often than empty
+    /// ones: on `churn_hybrid`'s instance (seed 1, 256-mutation batches)
+    /// the live stored graphs fall from 4,572 at epoch 0 to 1,528 after
+    /// one batch and 50–115 over epochs 80–332 (under
+    /// `ExactHybrid { bloom_above: 16 }`: 1,332, then 48–112), while
+    /// `ExactTrace` keeps 4.6–4.8k.
     ExactCompressed,
     /// The bounded-memory tier: footprints at most `bloom_above` nodes
     /// long are stored exactly (compressed), longer ones collapse to a
@@ -95,8 +101,9 @@ pub enum Staleness {
     /// bloom fingerprint. Detection never misses; a long-footprint false
     /// positive refreshes an unaffected sample (the
     /// `online.invalidated_bloom` counter reports how many refreshes a
-    /// fingerprint caused). Fingerprints are one-way, so this tier scans
-    /// instead of indexing, with exact verdicts for the short footprints.
+    /// fingerprint caused). The staleness scan tests a fingerprint with a
+    /// handful of bit probes and decodes the short footprints for exact
+    /// verdicts.
     ExactHybrid {
         /// Footprints longer than this many nodes use the bloom
         /// fingerprint. Any value is valid: `0` fingerprints every
@@ -197,135 +204,21 @@ pub struct EpochReport {
     pub dead_graphs: u64,
 }
 
-/// A node → items invalidation index, maintained incrementally across
-/// epochs instead of rebuilt from scratch per refresh. "Items" are
-/// stored-graph indices (entries from node tables in approximate mode,
-/// from footprints in exact mode) or empty-sample indices (exact mode's
-/// empty-footprint column).
-///
-/// * `base` is a CSR [`NodeIndex`] over the arena as of the last full
-///   (re)build; it may reference items that were tombstoned since, so
-///   queries filter on liveness.
-/// * `extra` holds the `(node, item)` pairs of samples absorbed after
-///   the base was built — refreshes *append* here in item order rather
-///   than paying the linear-in-arena rebuild. When the tail outgrows the
-///   base ([`needs_fold`](Self::needs_fold)) it is folded back in by a
-///   rebuild, so a never-compacting maintainer (threshold 1.0) still
-///   holds at most ~2× the live entries and dry-run scans stay bounded.
-/// * Compaction renumbers items, so it is the one event that invalidates
-///   the whole index (the maintainer drops it and rebuilds lazily on
-///   next use).
-struct InvalidationIndex {
-    base: NodeIndex,
-    extra: Vec<(u32, u32)>,
-}
-
-impl InvalidationIndex {
-    /// Full build over the live items `0..count` (node universe `n`).
-    /// `emit_nodes(i, f)` must call `f` with every node filed under item
-    /// `i`; it is invoked twice per item (CSR count + scatter passes).
-    fn rebuild(
-        n: usize,
-        count: usize,
-        live: impl Fn(usize) -> bool,
-        emit_nodes: impl Fn(usize, &mut dyn FnMut(u32)),
-    ) -> Self {
-        let base = NodeIndex::build(n, |emit| {
-            for i in 0..count {
-                if live(i) {
-                    emit_nodes(i, &mut |v| emit(NodeId(v), i as u32));
-                }
-            }
-        });
-        InvalidationIndex {
-            base,
-            extra: Vec::new(),
-        }
-    }
-
-    /// Appends the entries of freshly absorbed items `range` to the
-    /// incremental tail.
-    fn append(
-        &mut self,
-        range: std::ops::Range<usize>,
-        emit_nodes: impl Fn(usize, &mut dyn FnMut(u32)),
-    ) {
-        for i in range {
-            emit_nodes(i, &mut |v| self.extra.push((v, i as u32)));
-        }
-    }
-
-    /// Whether the incremental tail outgrew the CSR base — the caller
-    /// folds it back in with a [`rebuild`](Self::rebuild).
-    fn needs_fold(&self) -> bool {
-        self.extra.len() > self.base.len().max(1024)
-    }
-
-    /// The live items filed under a touched node, in ascending item
-    /// order — dead items are filtered here, at query time, which is
-    /// what lets tombstoning skip index surgery.
-    fn stale(&self, touched: &[bool], count: usize, live: impl Fn(usize) -> bool) -> Vec<u32> {
-        let mut is_stale = vec![false; count];
-        let mut stale: Vec<u32> = Vec::new();
-        for (v, &hit) in touched.iter().enumerate() {
-            if !hit {
-                continue;
-            }
-            for &i in self.base.items_of(NodeId(v as u32)) {
-                if live(i as usize) && !is_stale[i as usize] {
-                    is_stale[i as usize] = true;
-                    stale.push(i);
-                }
-            }
-        }
-        for &(v, i) in &self.extra {
-            if touched[v as usize] && live(i as usize) && !is_stale[i as usize] {
-                is_stale[i as usize] = true;
-                stale.push(i);
-            }
-        }
-        stale.sort_unstable();
-        stale
-    }
-}
-
-/// Emits the staleness-relevant nodes of stored graph `gi` under the
-/// given rule: the node table (approximate) or the retained footprint
-/// (any decodable tier — compressed or trace). The hybrid tier's
-/// fingerprints are one-way, so it is never indexed — its queries scan
-/// instead.
-fn graph_entry_nodes(arena: &PrrArena, staleness: Staleness, gi: usize, emit: &mut dyn FnMut(u32)) {
-    let mode = staleness.footprint_mode();
-    if mode.is_decodable() {
-        arena.footprints().for_each_node(gi, emit);
-    } else {
-        debug_assert_eq!(mode, FootprintMode::Off, "scan tiers never build an index");
-        let view = arena.graph(gi);
-        for l in 0..view.num_nodes() as u32 {
-            if let Some(g) = view.global_of(l) {
-                emit(g.0);
-            }
-        }
-    }
-}
-
-/// The nodes a mutation batch *touches* under the given rule: both
-/// endpoints for the node-table heuristic, edge heads only for exact
-/// footprints (the head is the one node whose in-edge list a mutation
-/// changes — see `kboost_prr::footprint`).
-fn touched_nodes(mutations: &[Mutation], staleness: Staleness, n: usize) -> Vec<bool> {
+/// The nodes a mutation batch *touches* under the node-table rule
+/// ([`Staleness::Approximate`]): both endpoints of every mutated edge.
+fn touched_nodes(mutations: &[Mutation], n: usize) -> Vec<bool> {
     let mut touched = vec![false; n];
     for m in mutations {
         let (u, v) = m.endpoints();
-        if !staleness.is_exact() {
-            touched[u.index()] = true;
-        }
+        touched[u.index()] = true;
         touched[v.index()] = true;
     }
     touched
 }
 
-/// The mutated edge heads of a batch, deduplicated (exact-rule queries).
+/// The mutated edge heads of a batch, deduplicated (exact-rule queries:
+/// the head is the one node whose in-edge list a mutation changes — see
+/// `kboost_prr::footprint`).
 fn mutation_heads(mutations: &[Mutation]) -> Vec<u32> {
     let mut heads: Vec<u32> = mutations.iter().map(|m| m.endpoints().1 .0).collect();
     heads.sort_unstable();
@@ -333,18 +226,10 @@ fn mutation_heads(mutations: &[Mutation]) -> Vec<u32> {
     heads
 }
 
-/// Emits the retained footprint nodes of empty sample `i` — the
-/// empty-column counterpart of [`graph_entry_nodes`] (decodable exact
-/// tiers only).
-fn empty_entry_nodes(arena: &PrrArena, i: usize, emit: &mut dyn FnMut(u32)) {
-    arena.empty_footprints().for_each_node(i, emit);
-}
-
-/// Hybrid-tier staleness: scan the live entries of `column` against a
-/// prepared query (fingerprints are one-way, so there is no index to
-/// consult; short entries still answer exactly inside
-/// [`FootprintColumn::matches`]) — shared by the stored-graph and
-/// empty-sample paths.
+/// Exact-tier staleness: scans the live entries of `column` against one
+/// prepared query — shared by the stored-graph and empty-sample paths.
+/// Decodable entries answer exactly inside [`FootprintColumn::matches`];
+/// a hybrid fingerprint may over-detect, never miss.
 fn matches_stale_scan(
     column: &FootprintColumn,
     count: usize,
@@ -434,15 +319,6 @@ pub struct PoolMaintainer {
     opts: MaintainerOptions,
     pool: PrrPool,
     epoch: u64,
-    /// Stored-graph invalidation index, built lazily on the first
-    /// staleness query, so purely offline consumers of the fixed-size
-    /// pool (perf sweeps, one-shot solves) never pay for or retain it.
-    /// `None` also encodes "invalidated by compaction". Hybrid staleness
-    /// never builds one (fingerprints are scanned, not indexed).
-    index: Option<InvalidationIndex>,
-    /// Empty-sample invalidation index (decodable exact tiers only), same
-    /// lifecycle as `index`.
-    empty_index: Option<InvalidationIndex>,
     build_peak_bytes: usize,
     /// The serving cell, once [`serving`](Self::serving) attached one:
     /// every committed epoch publishes a frozen snapshot here, so query
@@ -551,8 +427,6 @@ impl PoolMaintainer {
             opts,
             pool,
             epoch: 0,
-            index: None,
-            empty_index: None,
             build_peak_bytes,
             serving: None,
             obs,
@@ -640,30 +514,33 @@ impl PoolMaintainer {
     /// [`stale_empty_samples`](Self::stale_empty_samples) — which this
     /// stored-graph view does not list.)
     ///
-    /// Approximate, compressed and trace rules answer from an
-    /// **incrementally maintained** node → samples [`NodeIndex`], built
-    /// lazily on first use: refreshes append the absorbed samples'
-    /// entries (folding the tail into the CSR base when it outgrows it),
-    /// tombstoned samples are filtered at query time, and compaction
-    /// invalidates the cache wholesale. A dry run therefore costs
-    /// `O(n + index-hit scan + appended tail)` in scratch flags and
-    /// lookups. The hybrid tier stores one-way fingerprints that cannot
-    /// be inverted into an index, so it scans the live entries instead (a
-    /// handful of bit tests per fingerprint).
+    /// Every rule answers with one pass over the live stored graphs and
+    /// caches nothing between calls: the exact rules test each retained
+    /// footprint against one prepared [`FootprintQuery`] (a blob decode,
+    /// or a handful of bit tests per hybrid fingerprint), the approximate
+    /// rule reads each graph's node table. A dry run therefore costs the
+    /// same on every call: `O(n)` for the query flags plus one read of
+    /// the live entries' retained bytes. On `churn_hybrid`'s instance
+    /// (20k nodes, 40k samples, 2-vCPU Xeon) an `ExactCompressed` or
+    /// `ExactTrace` dry run takes 3–4 ms over the ≈4.6k stored graphs of
+    /// an undrained pool and ≈0.05 ms over the ≈100 that the compressed
+    /// tier's redraw leaves. A cached node → samples index answered a
+    /// repeated dry run on the undrained pool in ≈0.15 ms, but compaction
+    /// renumbers the samples, rebuilding the index took 17–26 ms, and the
+    /// epoch path queries each batch only once.
     ///
     /// # Panics
     /// Panics if a mutation endpoint is outside the graph's node
     /// universe (the engine API validates this up front and returns a
     /// typed error instead).
-    pub fn stale_graphs(&mut self, mutations: &[Mutation]) -> Vec<u32> {
+    pub fn stale_graphs(&self, mutations: &[Mutation]) -> Vec<u32> {
         if mutations.is_empty() {
             return Vec::new();
         }
         let n = self.graph.num_nodes();
-        let staleness = self.opts.staleness;
         let arena = self.pool.arena();
-        let mode = staleness.footprint_mode();
-        if mode.is_on() && !mode.is_decodable() {
+        let mode = self.opts.staleness.footprint_mode();
+        if mode.is_on() {
             return matches_stale_scan(
                 arena.footprints(),
                 arena.len(),
@@ -673,53 +550,39 @@ impl PoolMaintainer {
                 n,
             );
         }
-        let touched = touched_nodes(mutations, staleness, n);
-        let index = self.index.get_or_insert_with(|| {
-            InvalidationIndex::rebuild(
-                n,
-                arena.len(),
-                |i| arena.is_live(i),
-                |i, emit| graph_entry_nodes(arena, staleness, i, emit),
-            )
-        });
-        index.stale(&touched, arena.len(), |i| arena.is_live(i))
+        let touched = touched_nodes(mutations, n);
+        (0..arena.len() as u32)
+            .filter(|&gi| {
+                if !arena.is_live(gi as usize) {
+                    return false;
+                }
+                let view = arena.graph(gi as usize);
+                (0..view.num_nodes() as u32)
+                    .any(|l| view.global_of(l).is_some_and(|v| touched[v.index()]))
+            })
+            .collect()
     }
 
     /// Live *empty* samples (activated / hopeless / cover-less — counted
     /// in the estimator's denominator but storing no graph) that
-    /// `mutations` would invalidate, in ascending empty-column order.
+    /// `mutations` would invalidate, in ascending empty-column order, by
+    /// the same one-pass scan as [`stale_graphs`](Self::stale_graphs).
     /// Always empty under [`Staleness::Approximate`], which retains no
     /// trace of empty samples and therefore can never refresh them — the
     /// under-detection the exact modes exist to close.
-    pub fn stale_empty_samples(&mut self, mutations: &[Mutation]) -> Vec<u32> {
+    pub fn stale_empty_samples(&self, mutations: &[Mutation]) -> Vec<u32> {
         if mutations.is_empty() || !self.opts.staleness.is_exact() {
             return Vec::new();
         }
-        let n = self.graph.num_nodes();
-        let staleness = self.opts.staleness;
         let arena = self.pool.arena();
-        let count = arena.num_empty_footprints();
-        let mode = staleness.footprint_mode();
-        if !mode.is_decodable() {
-            return matches_stale_scan(
-                arena.empty_footprints(),
-                count,
-                |i| arena.empty_is_live(i),
-                mutations,
-                mode,
-                n,
-            );
-        }
-        let touched = touched_nodes(mutations, staleness, n);
-        let index = self.empty_index.get_or_insert_with(|| {
-            InvalidationIndex::rebuild(
-                n,
-                count,
-                |i| arena.empty_is_live(i),
-                |i, emit| empty_entry_nodes(arena, i, emit),
-            )
-        });
-        index.stale(&touched, count, |i| arena.empty_is_live(i))
+        matches_stale_scan(
+            arena.empty_footprints(),
+            arena.num_empty_footprints(),
+            |i| arena.empty_is_live(i),
+            mutations,
+            self.opts.staleness.footprint_mode(),
+            self.graph.num_nodes(),
+        )
     }
 
     /// The trace tier's compute-phase refresh: conditionally replays
@@ -795,9 +658,7 @@ impl PoolMaintainer {
     ///
     /// 1. contiguity and ingress validation reject bad input up front;
     /// 2. the mutated graph is rebuilt and the stale sets are computed
-    ///    *read-only* (the lazily cached invalidation indices may be
-    ///    built here; they describe the untouched arena and stay valid
-    ///    either way);
+    ///    by read-only scans of the untouched arena;
     /// 3. the full refresh is sampled over the new graph into a private
     ///    pool, inside a panic guard — a cancelled or panicked refresh
     ///    returns [`OnlineError::Interrupted`] *before any commit*, so
@@ -919,8 +780,6 @@ impl PoolMaintainer {
 
         let arena = self.pool.arena_mut();
         for &gi in &stale {
-            // Tombstoning needs no index surgery: queries filter dead
-            // samples on the fly.
             arena.tombstone(gi as usize);
         }
         for &ei in &stale_empty {
@@ -929,11 +788,6 @@ impl PoolMaintainer {
         let compacted = arena.dead_fraction() > self.opts.compact_threshold;
         if compacted {
             arena.compact();
-            // Compaction renumbers the surviving samples — the one event
-            // that invalidates the cached indices wholesale. Dropped
-            // here, rebuilt lazily by the next staleness query.
-            self.index = None;
-            self.empty_index = None;
         }
 
         let (drawn_stored, drawn_empty) = if let Some(refresh) = refresh {
@@ -950,39 +804,7 @@ impl PoolMaintainer {
             // actually stored — never the sketch layer's cover-based
             // count.
             let empties = drawn - shard.len() as u64;
-            let absorbed_graphs_from = self.pool.arena().len();
-            let absorbed_empties_from = self.pool.arena().num_empty_footprints();
             self.pool.arena_mut().absorb_shard(shard);
-            let arena = self.pool.arena();
-            let n = self.graph.num_nodes();
-            let staleness = self.opts.staleness;
-            if let Some(index) = &mut self.index {
-                index.append(absorbed_graphs_from..arena.len(), |i, emit| {
-                    graph_entry_nodes(arena, staleness, i, emit)
-                });
-                if index.needs_fold() {
-                    *index = InvalidationIndex::rebuild(
-                        n,
-                        arena.len(),
-                        |i| arena.is_live(i),
-                        |i, emit| graph_entry_nodes(arena, staleness, i, emit),
-                    );
-                }
-            }
-            if let Some(index) = &mut self.empty_index {
-                index.append(
-                    absorbed_empties_from..arena.num_empty_footprints(),
-                    |i, emit| empty_entry_nodes(arena, i, emit),
-                );
-                if index.needs_fold() {
-                    *index = InvalidationIndex::rebuild(
-                        n,
-                        arena.num_empty_footprints(),
-                        |i| arena.empty_is_live(i),
-                        |i, emit| empty_entry_nodes(arena, i, emit),
-                    );
-                }
-            }
             self.pool
                 .record_refresh(invalidated, invalidated_empty, drawn, empties);
             (drawn - empties, empties)
@@ -1094,7 +916,7 @@ pub fn rebuild_from_history(
     for batch in history {
         let g_new = apply_mutations(&g, &batch.mutations)
             .expect("replayed batches were validated when first applied");
-        let touched = touched_nodes(&batch.mutations, staleness, n);
+        let touched = touched_nodes(&batch.mutations, n);
         let q = FootprintQuery::new(mode, &mutation_heads(&batch.mutations), n);
         let is_stale = |s: &LegacySample| {
             if staleness.is_exact() {
@@ -1205,8 +1027,7 @@ mod tests {
         // The dry run must mark a graph stale iff its node table holds a
         // touched endpoint — checked in both directions over every stored
         // graph.
-        let mut m =
-            PoolMaintainer::build(two_paths(), vec![NodeId(0)], quick_opts(1_000, 1)).unwrap();
+        let m = PoolMaintainer::build(two_paths(), vec![NodeId(0)], quick_opts(1_000, 1)).unwrap();
         // Every stored graph contains its root; roots are uniform over
         // non-seed nodes, so node 1 appears in some table.
         let stale = m.stale_graphs(&[Mutation::Remove {
@@ -1499,7 +1320,7 @@ mod tests {
         assert!(approx.stale_graphs(&[remove]).is_empty());
         assert!(approx.stale_empty_samples(&[remove]).is_empty());
         // The exact rule sees the footprint {x, root} of every stored
-        // graph (x was expanded during phase I) and the footprint {x} of
+        // graph (phase I read x's in-list) and the footprint {x} of
         // every root-x activated sample.
         assert_eq!(
             exact.stale_graphs(&[remove]).len(),

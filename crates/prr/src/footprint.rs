@@ -1,17 +1,19 @@
 //! Per-sample *edge-space footprints* for exact staleness detection.
 //!
-//! A PRR-graph sample is generated by lazily querying edge statuses: the
-//! phase-I backward BFS enumerates the in-edges of every node it expands
-//! and draws one status per enumerated edge. The sample's distribution
-//! therefore depends on exactly the in-edge lists of its *expanded*
-//! nodes — mutating edge `(u, v)` (probability update, removal, or the
-//! insertion of a brand-new edge) changes the sample's law **iff** the
-//! head `v` was expanded, because that is the only point at which the
-//! generator would have queried `v`'s (old or new) in-edges.
+//! A PRR-graph sample is generated by lazily querying edge statuses:
+//! phase I reads the whole in-edge list of every node its search touches
+//! (each node a settling walk visits, including nodes the backward BFS
+//! never expands) and draws one status per listed edge. The sample's
+//! distribution therefore depends on exactly the in-edge lists it
+//! *read*: mutating edge `(u, v)` (probability update, removal, or the
+//! insertion of a brand-new edge) changes the sample's law **iff** `v`'s
+//! in-list was read, because that is the only point at which the
+//! generator would have queried `v`'s (old or new) in-edges (see
+//! [`crate::gen`]).
 //!
-//! The footprint of a sample is that expanded-node set, captured at
-//! sampling time as a sorted, deduplicated `u32` list. Unlike the
-//! compressed node table — which phase-II compression prunes and which
+//! The footprint of a sample is the set of nodes whose in-lists it read,
+//! captured at sampling time as a sorted, deduplicated `u32` list. Unlike
+//! the compressed node table — which phase-II compression prunes and which
 //! empty samples do not have at all — the footprint is retained for
 //! **every** sample, so the online maintainer can answer staleness
 //! exactly instead of under-detecting (see `kboost-online`).
@@ -97,9 +99,9 @@ impl FootprintMode {
         self == FootprintMode::Trace
     }
 
-    /// Whether stored entries decode back to the exact node list (so an
-    /// inverted node → samples index can be built over them). The hybrid
-    /// tier's big-footprint fingerprints are one-way.
+    /// Whether stored entries decode back to the exact node list, so
+    /// every staleness verdict is exact. The hybrid tier's big-footprint
+    /// fingerprints are one-way.
     pub fn is_decodable(self) -> bool {
         matches!(self, FootprintMode::Compressed | FootprintMode::Trace)
     }

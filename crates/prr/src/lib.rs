@@ -50,8 +50,7 @@
 //! * [`select`] — the greedy NodeSelection over `Δ̂` (Algorithm 2, line 4):
 //!   an inverted coverage index with incremental vote maintenance, plus
 //!   the naive full re-traversal greedy as the equivalence oracle. The
-//!   index's CSR build is factored out as [`NodeIndex`], which the online
-//!   maintainer reuses for its node → graphs invalidation index.
+//!   index's CSR build is factored out as [`NodeIndex`].
 
 pub mod arena;
 pub mod compress;

@@ -33,8 +33,7 @@ use crate::graph::{Augmented, PrrEvalScratch};
 
 /// A CSR multimap from node id to `u32` items, built by the
 /// count / prefix-sum / scatter passes of the greedy selection's inverted
-/// coverage index. The online pool maintainer reuses it as its
-/// node → PRR-graphs invalidation index.
+/// coverage index.
 ///
 /// `fill` is invoked twice — once to count, once to scatter — and must
 /// emit the identical `(node, item)` sequence both times; items of one

@@ -164,7 +164,7 @@ pub enum LegacySample {
     Stored {
         /// The legacy per-graph payload.
         graph: CompressedPrr,
-        /// Sorted, deduplicated expanded-node set.
+        /// Sorted, deduplicated set of nodes whose in-lists phase I read.
         footprint: Vec<u32>,
         /// Retained queried-edge outcomes for conditional replay.
         trace: Vec<u8>,
@@ -173,7 +173,7 @@ pub enum LegacySample {
     /// footprint still schedules its refresh and its trace still seeds
     /// the conditional replay.
     Empty {
-        /// Sorted, deduplicated expanded-node set.
+        /// Sorted, deduplicated set of nodes whose in-lists phase I read.
         footprint: Vec<u32>,
         /// Retained queried-edge outcomes for conditional replay.
         trace: Vec<u8>,

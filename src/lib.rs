@@ -213,9 +213,8 @@
 //!   ([`engine::SolveStats::footprint_bytes`], `BENCH_online.json`'s
 //!   `footprint_overhead`).
 //! * **Tombstone lifecycle** ([`prr::arena::PrrArena`]): stale samples,
-//!   found via **incrementally maintained** invalidation indices
-//!   (refreshes append entries, queries filter dead samples, only
-//!   compaction rebuilds), are tombstoned in place — stored graphs in
+//!   found by one scan over the live entries (node tables or retained
+//!   footprints, by rule), are tombstoned in place — stored graphs in
 //!   the arena, empty samples in the footprint column — and exactly
 //!   that share is resampled, keeping the estimator denominator
 //!   constant. Compaction is canonicalizing, so the maintained arena

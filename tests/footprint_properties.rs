@@ -339,7 +339,7 @@ fn staleness_queries_agree_across_modes_and_threads() {
             );
             for staleness in exact_tiers {
                 for threads in [1usize, 7] {
-                    let mut m = build(staleness, threads);
+                    let m = build(staleness, threads);
                     assert_eq!(
                         (m.stale_graphs(&batch), m.stale_empty_samples(&batch)),
                         want,
@@ -349,7 +349,7 @@ fn staleness_queries_agree_across_modes_and_threads() {
             }
             for staleness in fingerprint_tiers {
                 for threads in [1usize, 7] {
-                    let mut m = build(staleness, threads);
+                    let m = build(staleness, threads);
                     let got = (m.stale_graphs(&batch), m.stale_empty_samples(&batch));
                     let superset = |sup: &[u32], sub: &[u32]| {
                         let s: std::collections::HashSet<u32> = sup.iter().copied().collect();
@@ -361,7 +361,7 @@ fn staleness_queries_agree_across_modes_and_threads() {
                     );
                     // Fingerprint verdicts are deterministic, so the 1-
                     // and 7-thread answers must also be identical.
-                    let mut again = build(staleness, 1);
+                    let again = build(staleness, 1);
                     assert_eq!(
                         got,
                         (

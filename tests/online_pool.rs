@@ -6,10 +6,14 @@
 //!   trace-retention conditional replay), the
 //!   incrementally maintained pool's compacted arena
 //!   is **byte-equal** to the naive replay oracle
-//!   (`rebuild_from_history`: legacy per-graph payloads, full per-sample
-//!   scans, eager filtering — no tombstones, no inverted index), its
-//!   `Δ̂` / `µ̂` estimates agree exactly, and the greedy selection picks
-//!   the identical set;
+//!   (`rebuild_from_history`: legacy per-graph payloads, verdicts on raw
+//!   footprints and node tables, eager filtering — no tombstones, no
+//!   arena columns), its `Δ̂` / `µ̂` estimates agree exactly, and the
+//!   greedy selection picks the identical set;
+//! * the maintainer's staleness scans (`stale_graphs` /
+//!   `stale_empty_samples`) answer dry runs byte-equal to brute-force
+//!   scans of the live node tables and decoded footprints, across
+//!   tombstones, compactions and absorbed refreshes;
 //! * the maintained pool is **thread-count invariant**: 1 worker and 7
 //!   workers produce the bit-identical arena (tombstones included) and
 //!   identical epoch reports;
@@ -306,11 +310,10 @@ fn ssa_validation_pool_no_longer_retains_an_arena() {
     );
 }
 
-/// The incrementally maintained invalidation index (CSR base + appended
-/// tail, dead graphs filtered at query time, rebuilt only on compaction)
-/// answers `stale_graphs` byte-equal to a from-scratch scan over the
-/// live arena — at every point of a mutation history, for probe batches
-/// it has never applied.
+/// The approximate rule's `stale_graphs` scan (tombstoned graphs
+/// skipped, compaction renumbering the rest) answers byte-equal to a
+/// brute-force scan of every live graph's node table — at every point
+/// of a mutation history, for probe batches it has never applied.
 #[test]
 fn stale_graphs_cached_index_matches_fresh_scan() {
     use kboost::online::Mutation;
@@ -340,8 +343,8 @@ fn stale_graphs_cached_index_matches_fresh_scan() {
     let g = er_graph(30, 140, 13);
     let seeds = [NodeId(0)];
     let mut rng = SmallRng::seed_from_u64(0x1DE7_5EED);
-    // Exercise both compaction regimes: eager (index rebuilt per epoch)
-    // and never (index serves from base + growing tail with tombstones).
+    // Exercise both compaction regimes: eager (the arena is renumbered
+    // every epoch) and never (tombstones and refreshed graphs pile up).
     for threshold in [0.0, 1.0] {
         let opts = MaintainerOptions {
             target_samples: 3_000,
@@ -374,7 +377,7 @@ fn stale_graphs_cached_index_matches_fresh_scan() {
                 assert_eq!(
                     m.stale_graphs(probe),
                     fresh_scan(&m, probe),
-                    "cached index diverged (threshold {threshold}, epoch {})",
+                    "node-table scan diverged (threshold {threshold}, epoch {})",
                     m.epoch()
                 );
             }
@@ -385,7 +388,7 @@ fn stale_graphs_cached_index_matches_fresh_scan() {
                 assert_eq!(
                     m.stale_graphs(probe),
                     fresh_scan(&m, probe),
-                    "cached index diverged after epoch {} (threshold {threshold})",
+                    "node-table scan diverged after epoch {} (threshold {threshold})",
                     m.epoch()
                 );
             }
@@ -618,11 +621,12 @@ fn mutation_on_untouched_nodes_invalidates_nothing() {
     assert!(m.graph().has_edge(NodeId(4), NodeId(5)));
 }
 
-/// The exact-rule incremental footprint indices (stored graphs *and*
-/// empty samples) answer staleness byte-equal to brute-force scans over
-/// the retained footprints — at every point of a mutation history, for
-/// probe batches the maintainer never applies, across compaction
-/// regimes.
+/// The exact rules' staleness scans (stored graphs *and* empty samples)
+/// answer byte-equal to brute-force decodes of the retained footprints —
+/// at every point of a mutation history, for probe batches the
+/// maintainer never applies, across compaction regimes, for the
+/// redrawing compressed tier and for the trace tier once replayed
+/// samples have been absorbed.
 #[test]
 fn exact_stale_sets_match_fresh_footprint_scans() {
     use kboost::online::Mutation;
@@ -654,15 +658,6 @@ fn exact_stale_sets_match_fresh_footprint_scans() {
     let g = er_graph(30, 140, 17);
     let mut rng = SmallRng::seed_from_u64(0xF00D_5EED);
     for threshold in [0.0, 1.0] {
-        let opts = MaintainerOptions {
-            target_samples: 2_500,
-            k: 2,
-            threads: 2,
-            base_seed: 0xBEE,
-            compact_threshold: threshold,
-            staleness: Staleness::ExactCompressed,
-        };
-        let mut m = PoolMaintainer::build(g.clone(), vec![NodeId(0)], opts).unwrap();
         let history = random_history(&g, 5, &mut rng);
         let probes: Vec<Vec<Mutation>> = vec![
             vec![],
@@ -677,29 +672,44 @@ fn exact_stale_sets_match_fresh_footprint_scans() {
                 })
                 .collect(),
         ];
-        for batch in &history {
-            for probe in &probes {
-                let (graphs, empties) = fresh_scans(&m, probe);
-                assert_eq!(m.stale_graphs(probe), graphs, "graph index diverged");
-                assert_eq!(
-                    m.stale_empty_samples(probe),
-                    empties,
-                    "empty index diverged"
-                );
-            }
-            m.apply_epoch(batch).unwrap();
-            for probe in &probes {
-                let (graphs, empties) = fresh_scans(&m, probe);
-                assert_eq!(
-                    m.stale_graphs(probe),
-                    graphs,
-                    "graph index diverged post-epoch"
-                );
-                assert_eq!(
-                    m.stale_empty_samples(probe),
-                    empties,
-                    "empty index diverged post-epoch"
-                );
+        for staleness in [Staleness::ExactCompressed, Staleness::ExactTrace] {
+            let opts = MaintainerOptions {
+                target_samples: 2_500,
+                k: 2,
+                threads: 2,
+                base_seed: 0xBEE,
+                compact_threshold: threshold,
+                staleness,
+            };
+            let mut m = PoolMaintainer::build(g.clone(), vec![NodeId(0)], opts).unwrap();
+            for batch in &history {
+                for probe in &probes {
+                    let (graphs, empties) = fresh_scans(&m, probe);
+                    assert_eq!(
+                        m.stale_graphs(probe),
+                        graphs,
+                        "{staleness:?}: graph scan diverged"
+                    );
+                    assert_eq!(
+                        m.stale_empty_samples(probe),
+                        empties,
+                        "{staleness:?}: empty scan diverged"
+                    );
+                }
+                m.apply_epoch(batch).unwrap();
+                for probe in &probes {
+                    let (graphs, empties) = fresh_scans(&m, probe);
+                    assert_eq!(
+                        m.stale_graphs(probe),
+                        graphs,
+                        "{staleness:?}: graph scan diverged post-epoch"
+                    );
+                    assert_eq!(
+                        m.stale_empty_samples(probe),
+                        empties,
+                        "{staleness:?}: empty scan diverged post-epoch"
+                    );
+                }
             }
         }
     }
