@@ -1,16 +1,13 @@
-//! Kernel-vs-scalar micro-benchmarks for the data-oriented sampling
-//! kernels: the PRR phase-I generator ([`PrrFullSource::new`] against
-//! [`scalar_oracle`](PrrFullSource::scalar_oracle)) and the cover-only
-//! RR-set sampler ([`InfluenceRr::new`] against
-//! [`new_scalar_oracle`](InfluenceRr::new_scalar_oracle)), per graph
-//! family. Both legs of each pair draw the identical random stream and
-//! produce byte-equal pools, so the ratio is pure kernel overhead/win —
-//! any semantic drift would already fail the equivalence suites.
+//! Kernel-vs-scalar micro-benchmark for the PRR phase-I generator:
+//! [`PrrFullSource::new`] (the packed in-edge lane) against
+//! [`scalar_oracle`](PrrFullSource::scalar_oracle), per graph family.
+//! Both legs draw the identical random stream and produce byte-equal
+//! pools, so the ratio is pure kernel overhead/win — any semantic drift
+//! would already fail the equivalence suites.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kboost_datasets::{Dataset, Scale};
 use kboost_prr::{PrrArenaShard, PrrFullSource};
-use kboost_rrset::ic::InfluenceRr;
 use kboost_rrset::seeds::select_random_nodes;
 use kboost_rrset::sketch::SketchPool;
 use std::hint::black_box;
@@ -43,31 +40,7 @@ fn bench_prr_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_rrset_kernel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("rrset_sampling_4k");
-    for dataset in [Dataset::Digg, Dataset::Flickr] {
-        let g = dataset.generate(Scale::Tiny, 2.0, 7);
-        let kernel = InfluenceRr::new(&g);
-        let scalar = InfluenceRr::new_scalar_oracle(&g);
-        group.bench_function(BenchmarkId::new("kernel", dataset.name()), |b| {
-            b.iter(|| {
-                let mut pool: SketchPool<()> = SketchPool::new(POOL_SEED, 1);
-                pool.extend_to(&kernel, 4_096);
-                black_box(pool.covers().len())
-            });
-        });
-        group.bench_function(BenchmarkId::new("scalar_oracle", dataset.name()), |b| {
-            b.iter(|| {
-                let mut pool: SketchPool<()> = SketchPool::new(POOL_SEED, 1);
-                pool.extend_to(&scalar, 4_096);
-                black_box(pool.covers().len())
-            });
-        });
-    }
-    group.finish();
-}
-
-/// Short measurement budget: these benches exist to expose the
+/// Short measurement budget: this bench exists to expose the
 /// kernel-vs-scalar ratio, not microsecond precision.
 fn config() -> Criterion {
     Criterion::default()
@@ -79,6 +52,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_prr_kernel, bench_rrset_kernel
+    targets = bench_prr_kernel
 }
 criterion_main!(benches);

@@ -267,71 +267,14 @@ mod tests {
     }
 }
 
-/// PRR-Boost with the SSA-style adaptive sampler instead of IMM
-/// (Section IV-A notes either framework applies). Stops sampling once the
-/// greedy solution's estimate validates on an independent pool — usually
-/// far fewer sketches than IMM's worst-case bound, at the cost of the
-/// formal guarantee.
-pub fn prr_boost_ssa(
-    g: &DiGraph,
-    seeds: &[NodeId],
-    k: usize,
-    opts: &BoostOptions,
-) -> (BoostOutcome, PrrPool) {
-    use kboost_rrset::ssa::{run_ssa, SsaParams};
-
-    let t0 = Instant::now();
-    let source = kboost_prr::PrrFullSource::new(g, seeds, k);
-    let params = SsaParams {
-        k,
-        epsilon: opts.epsilon,
-        initial: 2_000,
-        max_sketches: opts.max_sketches.unwrap_or(u64::MAX / 2),
-        threads: opts.threads,
-        seed: opts.seed,
-    };
-    let run = run_ssa(&source, &params);
-    let sampling_secs = t0.elapsed().as_secs_f64();
-    let b_mu = run.result.selected.clone();
-
-    let pool = PrrPool::new(run.pool, g.num_nodes(), opts.threads);
-    let t1 = Instant::now();
-    let b_delta = greedy_delta_selection(pool.arena(), g.num_nodes(), k, opts.threads).selected;
-    let est_mu = pool.delta_hat(&b_mu);
-    let est_delta = pool.delta_hat(&b_delta);
-    let (best, estimate) = if est_delta >= est_mu {
-        (b_delta.clone(), est_delta)
-    } else {
-        (b_mu.clone(), est_mu)
-    };
-    let selection_secs = t1.elapsed().as_secs_f64();
-
-    let (avg_unc, avg_cmp) = pool.compression_stats();
-    let stats = BoostStats {
-        total_samples: pool.total_samples(),
-        boostable: pool.num_boostable() as u64,
-        sampling_secs,
-        selection_secs,
-        avg_uncompressed_edges: avg_unc,
-        avg_compressed_edges: avg_cmp,
-        memory_bytes: pool.memory_bytes(),
-    };
-    (
-        BoostOutcome {
-            best,
-            b_mu,
-            b_delta,
-            estimate,
-            stats,
-        },
-        pool,
-    )
-}
-
+/// PRR-Boost with the SSA-style adaptive sampler instead of IMM (Section
+/// IV-A notes either framework applies): the pieces the engine's
+/// `Sampling::Ssa` path wires together, checked on Figure 1.
 #[cfg(test)]
 mod ssa_tests {
     use super::*;
     use kboost_graph::GraphBuilder;
+    use kboost_rrset::ssa::{run_ssa, SsaParams};
 
     #[test]
     fn ssa_variant_agrees_on_figure1() {
@@ -339,15 +282,26 @@ mod ssa_tests {
         b.add_edge(NodeId(0), NodeId(1), 0.2, 0.4).unwrap();
         b.add_edge(NodeId(1), NodeId(2), 0.1, 0.2).unwrap();
         let g = b.build().unwrap();
-        let opts = BoostOptions {
+        let source = PrrFullSource::new(&g, &[NodeId(0)], 1);
+        let params = SsaParams {
+            k: 1,
+            epsilon: 0.5,
+            initial: 2_000,
+            max_sketches: 400_000,
             threads: 2,
             seed: 71,
-            max_sketches: Some(400_000),
-            min_sketches: 0,
-            ..Default::default()
         };
-        let (out, pool) = prr_boost_ssa(&g, &[NodeId(0)], 1, &opts);
-        assert_eq!(out.best, vec![NodeId(1)]);
+        let run = run_ssa(&source, &params);
+        let b_mu = run.result.selected;
+        let pool = PrrPool::new(run.pool, g.num_nodes(), 2);
+        let b_delta = greedy_delta_selection(pool.arena(), g.num_nodes(), 1, 2).selected;
+        // The Sandwich choice, as in `prr_boost`.
+        let best = if pool.delta_hat(&b_delta) >= pool.delta_hat(&b_mu) {
+            b_delta
+        } else {
+            b_mu
+        };
+        assert_eq!(best, vec![NodeId(1)]);
         assert!(pool.total_samples() > 0);
     }
 }

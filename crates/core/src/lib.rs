@@ -21,7 +21,7 @@ pub mod budget;
 pub mod pool;
 pub mod sandwich;
 
-pub use algo::{prr_boost, prr_boost_lb, prr_boost_ssa, BoostOptions, BoostOutcome, BoostStats};
+pub use algo::{prr_boost, prr_boost_lb, BoostOptions, BoostOutcome, BoostStats};
 pub use budget::{budget_sweep, BudgetOptions, BudgetPoint};
 pub use pool::{EvalManyScratch, PrrPool};
 pub use sandwich::{sandwich_ratio_curve, RatioPoint};

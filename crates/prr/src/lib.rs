@@ -49,8 +49,7 @@
 //!   samples both carry one, so no sample is ever silently unrefreshable.
 //! * [`select`] — the greedy NodeSelection over `Δ̂` (Algorithm 2, line 4):
 //!   an inverted coverage index with incremental vote maintenance, plus
-//!   the naive full re-traversal greedy as the equivalence oracle. The
-//!   index's CSR build is factored out as [`NodeIndex`].
+//!   the naive full re-traversal greedy as the equivalence oracle.
 
 pub mod arena;
 pub mod compress;
@@ -66,5 +65,5 @@ pub use arena::{PrrArena, PrrArenaShard, PrrGraphView};
 pub use footprint::{FootprintColumn, FootprintMode, FootprintQuery, HYBRID_BLOOM_BITS};
 pub use gen::{PrrGenerator, PrrOutcome, RawPrr};
 pub use graph::{CompressedPrr, PrrEvalScratch};
-pub use select::{greedy_delta_selection, greedy_delta_selection_naive, DeltaSelection, NodeIndex};
+pub use select::{greedy_delta_selection, greedy_delta_selection_naive, DeltaSelection};
 pub use source::{LegacyPrrSource, LegacySample, PrrFullSource, PrrLbSource};

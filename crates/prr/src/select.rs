@@ -38,7 +38,7 @@ use crate::graph::{Augmented, PrrEvalScratch};
 /// `fill` is invoked twice — once to count, once to scatter — and must
 /// emit the identical `(node, item)` sequence both times; items of one
 /// node keep their emission order.
-pub struct NodeIndex {
+pub(crate) struct NodeIndex {
     /// `n + 1` offsets into `items`.
     offsets: Vec<u32>,
     items: Vec<u32>,
@@ -69,16 +69,6 @@ impl NodeIndex {
             self.offsets[v.index() + 1] as usize,
         );
         &self.items[lo..hi]
-    }
-
-    /// Total number of stored `(node, item)` pairs.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the index holds no pairs.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
     }
 }
 
@@ -488,8 +478,8 @@ mod tests {
                 emit(NodeId(v), item);
             }
         });
-        assert_eq!(index.len(), 5);
-        assert!(!index.is_empty());
+        let total: usize = (0..4).map(|v| index.items_of(NodeId(v)).len()).sum();
+        assert_eq!(total, 5);
         assert_eq!(index.items_of(NodeId(0)), &[11]);
         assert_eq!(index.items_of(NodeId(1)), &[13]);
         assert_eq!(index.items_of(NodeId(2)), &[10, 12, 14]);

@@ -4,46 +4,17 @@
 //! in a sampled deterministic copy of the graph (each edge `(u,v)` kept
 //! with probability `p_uv`). Its key property (Section IV-A):
 //! `σ(S) = n · E[I(R ∩ S ≠ ∅)]`.
-
-//! Like the PRR phase-I sampler, two equivalent implementations coexist:
-//! the scalar loop below (one `rng.random::<f64>()` per qualifying edge)
-//! and a kernel walking the graph's in-edge CSR slices
-//! ([`DiGraph::in_offsets`], [`DiGraph::in_sources`],
-//! [`DiGraph::in_probs`]) with batched [`RngCore::fill_u64`] draws
-//! consumed from a rolling buffer. The scalar loop only consumes a draw
-//! when the head is unmarked *and* `p > 0`; the kernel applies the same
-//! test at consumption time and, on exit, rewinds the RNG to the last
-//! refill snapshot and replays exactly the consumed draws, so the streams
-//! are bit-identical (`kernel_matches_scalar_oracle`).
 //!
-//! Unlike the PRR kernel — whose walk is cache-miss-dominated at benchmark
-//! scale and reads a packed 8-byte lane
-//! ([`InEdgeSoa`](kboost_graph::InEdgeSoa)) to cut its edge traffic — an
-//! RR-set walk is small and usually cache-resident, so it reads the CSR
-//! in place and builds no lane, and batching is roughly cost-neutral here
-//! (the vendored RNG fills sequentially; see `benches/sampling.rs` for
-//! the measured kernel-vs-scalar ratio per family). The kernel keeps the
-//! draw path uniform across samplers.
+//! The sampler draws one `rng.random::<f64>()` per unmarked in-edge with
+//! `p > 0`, in CSR order: a bulk-fill-and-rewind kernel of the same stream
+//! took 1.12–1.27× as long per RR-set (eight graph families, 2-vCPU Xeon).
 
 use kboost_diffusion::sim::BoostMask;
 use kboost_graph::{DiGraph, NodeId};
-use rand::distr::unit_f64;
 use rand::rngs::SmallRng;
-use rand::{Rng, RngCore};
+use rand::Rng;
 
 use crate::sketch::SketchGenerator;
-
-/// Maximum number of uniforms drawn per bulk RNG refill in the kernel.
-/// Deliberately smaller than the PRR kernel's batch: an RR-set consumes
-/// hundreds of draws, not tens of thousands, and the unused tail of the
-/// final batch is pure overhead (filled, then discarded by the rewind),
-/// so the cap bounds that waste at 64 draws per sample.
-const UNIFORM_BATCH: usize = 64;
-
-/// First refill size of a sample; refills double up to [`UNIFORM_BATCH`]
-/// so small RR-sets over-draw at most ~8 uniforms (cheap rewind) while
-/// large walks amortise into maximal batches.
-const UNIFORM_BATCH_MIN: usize = 8;
 
 /// Generates one RR-set: all nodes reaching the random root through kept
 /// edges, traversed backward.
@@ -77,95 +48,13 @@ pub fn sample_rr_set_from(
     set
 }
 
-/// Generates one RR-set for a uniformly random root through the
-/// data-oriented kernel; draw-stream identical to [`sample_rr_set`].
-pub fn sample_rr_set_kernel(
-    g: &DiGraph,
-    rng: &mut SmallRng,
-    scratch: &mut RrScratch,
-) -> Vec<NodeId> {
-    let root = NodeId(rng.random_range(0..g.num_nodes() as u32));
-    sample_rr_set_from_kernel(g, root, rng, scratch)
-}
-
-/// Kernel counterpart of [`sample_rr_set_from`]: a single pass over the
-/// in-edge CSR slices, drawing from a rolling bulk-filled uniform buffer. The
-/// eligibility test (`p > 0` and head unmarked) runs at consumption time,
-/// exactly like the scalar loop; on exit the RNG is rewound to the last
-/// refill snapshot and advanced by the consumed draws so the stream stays
-/// bit-identical.
-pub fn sample_rr_set_from_kernel(
-    g: &DiGraph,
-    root: NodeId,
-    rng: &mut SmallRng,
-    scratch: &mut RrScratch,
-) -> Vec<NodeId> {
-    scratch.reset(g.num_nodes());
-    if scratch.uniforms.len() != UNIFORM_BATCH {
-        scratch.uniforms.resize(UNIFORM_BATCH, 0);
-    }
-    let RrScratch {
-        stamp,
-        round,
-        uniforms,
-    } = scratch;
-    let round = *round;
-    let offsets = g.in_offsets();
-    let heads = g.in_sources();
-    let probs = g.in_probs();
-
-    let mut set = Vec::with_capacity(8);
-    stamp[root.index()] = round;
-    set.push(root);
-    let mut saved = rng.clone();
-    let mut pos = 0usize;
-    let mut batch = 0usize;
-    let mut head_cursor = 0usize;
-    while head_cursor < set.len() {
-        let v = set[head_cursor];
-        head_cursor += 1;
-        let (lo, hi) = (offsets[v.index()] as usize, offsets[v.index() + 1] as usize);
-        for e in lo..hi {
-            let u = heads[e];
-            if probs[e].base > 0.0 && stamp[u as usize] != round {
-                if pos == batch {
-                    batch = if batch == 0 {
-                        UNIFORM_BATCH_MIN
-                    } else {
-                        (batch * 2).min(UNIFORM_BATCH)
-                    };
-                    saved = rng.clone();
-                    rng.fill_u64(&mut uniforms[..batch]);
-                    pos = 0;
-                }
-                let x = unit_f64(uniforms[pos]);
-                pos += 1;
-                if x < probs[e].base {
-                    stamp[u as usize] = round;
-                    set.push(NodeId(u));
-                }
-            }
-        }
-    }
-    // Resync after over-drawing the tail of the last batch (no-op when the
-    // buffer was never filled or exactly exhausted).
-    if pos != batch {
-        *rng = saved;
-        for _ in 0..pos {
-            rng.next_u64();
-        }
-    }
-    set
-}
-
 /// Reusable visited-stamp buffer for RR-set BFS (avoids reallocating a
 /// visited array per sample; see the perf-book guidance on workhorse
-/// collections), plus the kernel's uniform batch buffer.
+/// collections).
 #[derive(Default)]
 pub struct RrScratch {
     stamp: Vec<u32>,
     round: u32,
-    uniforms: Vec<u64>,
 }
 
 impl RrScratch {
@@ -196,20 +85,12 @@ impl RrScratch {
 /// coverable and covers exactly its member nodes.
 pub struct InfluenceRr<'g> {
     g: &'g DiGraph,
-    kernel: bool,
 }
 
 impl<'g> InfluenceRr<'g> {
-    /// Creates the source over `g`, sampling through the batched-draw
-    /// kernel.
+    /// Creates the source over `g`.
     pub fn new(g: &'g DiGraph) -> Self {
-        InfluenceRr { g, kernel: true }
-    }
-
-    /// Scalar-oracle variant of [`new`](Self::new): identical stream,
-    /// original per-edge loop. For equivalence tests and baseline timing.
-    pub fn new_scalar_oracle(g: &'g DiGraph) -> Self {
-        InfluenceRr { g, kernel: false }
+        InfluenceRr { g }
     }
 }
 
@@ -227,13 +108,7 @@ impl SketchGenerator for InfluenceRr<'_> {
     }
 
     fn generate(&self, rng: &mut SmallRng, (): &mut ()) -> Vec<NodeId> {
-        SCRATCH.with_borrow_mut(|scratch| {
-            if self.kernel {
-                sample_rr_set_kernel(self.g, rng, scratch)
-            } else {
-                sample_rr_set(self.g, rng, scratch)
-            }
-        })
+        SCRATCH.with_borrow_mut(|scratch| sample_rr_set(self.g, rng, scratch))
     }
 }
 
@@ -243,26 +118,14 @@ impl SketchGenerator for InfluenceRr<'_> {
 /// This drives the MoreSeeds baseline.
 pub struct MarginalRr<'g> {
     g: &'g DiGraph,
-    kernel: bool,
     seed_mask: BoostMask,
 }
 
 impl<'g> MarginalRr<'g> {
-    /// Creates the source over `g` with fixed existing seeds, sampling
-    /// through the batched-draw kernel.
+    /// Creates the source over `g` with fixed existing seeds.
     pub fn new(g: &'g DiGraph, seeds: &[NodeId]) -> Self {
         MarginalRr {
             g,
-            kernel: true,
-            seed_mask: BoostMask::from_nodes(g.num_nodes(), seeds),
-        }
-    }
-
-    /// Scalar-oracle variant of [`new`](Self::new).
-    pub fn new_scalar_oracle(g: &'g DiGraph, seeds: &[NodeId]) -> Self {
-        MarginalRr {
-            g,
-            kernel: false,
             seed_mask: BoostMask::from_nodes(g.num_nodes(), seeds),
         }
     }
@@ -276,13 +139,7 @@ impl SketchGenerator for MarginalRr<'_> {
     }
 
     fn generate(&self, rng: &mut SmallRng, (): &mut ()) -> Vec<NodeId> {
-        let set = SCRATCH.with_borrow_mut(|scratch| {
-            if self.kernel {
-                sample_rr_set_kernel(self.g, rng, scratch)
-            } else {
-                sample_rr_set(self.g, rng, scratch)
-            }
-        });
+        let set = SCRATCH.with_borrow_mut(|scratch| sample_rr_set(self.g, rng, scratch));
         if set.iter().any(|&v| self.seed_mask.contains(v)) {
             Vec::new()
         } else {
@@ -355,53 +212,82 @@ mod tests {
         assert!(saw_empty && saw_cover);
     }
 
+    /// Pins the RR-set stream bit for bit: the covers, `total_samples` and
+    /// `empty_samples` of `InfluenceRr` and `MarginalRr` pools on an ER
+    /// graph (Trivalency, a third of its edges at `p = 0`) and a LogNormal
+    /// preferential-attachment graph, each pool equal at 1 and 7 threads,
+    /// then the IMM selections of `select_seeds` and `select_more_seeds`
+    /// on the PA graph. This loop and the bulk-fill kernel it replaced
+    /// both produced the pinned value.
     #[test]
-    fn kernel_matches_scalar_oracle() {
-        // Same seed → identical sets AND identical RNG state after every
-        // sample, across random graphs with mixed zero/positive edges.
-        use kboost_graph::generators::erdos_renyi;
+    fn rr_stream_digest_is_pinned() {
+        use crate::imm::ImmParams;
+        use crate::seeds::{select_more_seeds, select_seeds};
+        use crate::sketch::SketchPool;
+        use kboost_graph::generators::{erdos_renyi, preferential_attachment};
         use kboost_graph::probability::ProbabilityModel;
-        for gseed in 0..6u64 {
-            let mut grng = SmallRng::seed_from_u64(gseed + 40);
-            let g = erdos_renyi(25, 100, ProbabilityModel::Trivalency, 2.0, &mut grng);
-            let mut rng_s = SmallRng::seed_from_u64(gseed * 13 + 1);
-            let mut rng_k = rng_s.clone();
-            let mut scratch_s = RrScratch::default();
-            let mut scratch_k = RrScratch::default();
-            for _ in 0..400 {
-                let set_s = sample_rr_set(&g, &mut rng_s, &mut scratch_s);
-                let set_k = sample_rr_set_kernel(&g, &mut rng_k, &mut scratch_k);
-                assert_eq!(set_s, set_k, "RR-sets diverged (gseed {gseed})");
-            }
-            assert_eq!(
-                rng_s.next_u64(),
-                rng_k.next_u64(),
-                "rng stream diverged (gseed {gseed})"
-            );
-        }
-    }
+        use kboost_graph::EdgeProbs;
 
-    #[test]
-    fn kernel_sources_match_scalar_sources() {
-        let g = path_graph();
-        let kernel = MarginalRr::new(&g, &[NodeId(0)]);
-        let scalar = MarginalRr::new_scalar_oracle(&g, &[NodeId(0)]);
-        let mut rng_k = SmallRng::seed_from_u64(21);
-        let mut rng_s = rng_k.clone();
-        for _ in 0..300 {
-            assert_eq!(
-                kernel.generate(&mut rng_k, &mut ()),
-                scalar.generate(&mut rng_s, &mut ())
-            );
+        /// FNV-1a over little-endian `u32` words.
+        fn fnv(d: &mut u64, words: impl IntoIterator<Item = u32>) {
+            for w in words {
+                for b in w.to_le_bytes() {
+                    *d = (*d ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
         }
-        let kernel = InfluenceRr::new(&g);
-        let scalar = InfluenceRr::new_scalar_oracle(&g);
-        for _ in 0..300 {
-            assert_eq!(
-                kernel.generate(&mut rng_k, &mut ()),
-                scalar.generate(&mut rng_s, &mut ())
-            );
+
+        fn fold_pools<G: SketchGenerator<Shard = ()>>(d: &mut u64, src: &G) {
+            let [pool, wide] = [1, 7].map(|threads| {
+                let mut pool = SketchPool::<()>::new(17, threads);
+                pool.extend_to(src, 2_000);
+                pool
+            });
+            assert_eq!(wide.covers(), pool.covers());
+            assert_eq!(wide.total_samples(), pool.total_samples());
+            assert_eq!(wide.empty_samples(), pool.empty_samples());
+            let counts = [pool.total_samples(), pool.empty_samples()];
+            fnv(d, counts.map(|c| c as u32));
+            for cover in pool.covers() {
+                fnv(d, [cover.len() as u32]);
+                fnv(d, cover.iter().map(|v| v.0));
+            }
         }
+
+        let mut rng = SmallRng::seed_from_u64(40);
+        let er = erdos_renyi(60, 360, ProbabilityModel::Trivalency, 2.0, &mut rng).map_probs(
+            |u, v, p| {
+                if (u.0 + v.0) % 3 == 0 {
+                    EdgeProbs::new(0.0, p.boosted).unwrap()
+                } else {
+                    p
+                }
+            },
+        );
+        let model = ProbabilityModel::LogNormal {
+            mu: -2.0,
+            sigma: 1.0,
+            cap: 0.8,
+        };
+        let pa = preferential_attachment(1_000, 4, 0.15, model, 2.0, &mut rng);
+        let mut d = 0xcbf2_9ce4_8422_2325u64;
+        for g in [&er, &pa] {
+            fold_pools(&mut d, &InfluenceRr::new(g));
+            fold_pools(&mut d, &MarginalRr::new(g, &[NodeId(2), NodeId(5)]));
+        }
+        let params = ImmParams {
+            k: 5,
+            epsilon: 0.5,
+            ell: 1.0,
+            threads: 2,
+            seed: 0x5EED,
+            max_sketches: Some(20_000),
+            min_sketches: 0,
+        };
+        let seeds = select_seeds(&pa, &params);
+        let more = select_more_seeds(&pa, &seeds[..2], &params);
+        fnv(&mut d, seeds.iter().chain(&more).map(|v| v.0));
+        assert_eq!(d, 0x843e_abd3_65ce_0474);
     }
 
     #[test]

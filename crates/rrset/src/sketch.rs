@@ -209,8 +209,8 @@ impl<S: SketchShard> SketchPool<S> {
     /// Attaches an observability handle: each generated chunk records its
     /// duration (`sampler.chunk_secs`), throughput
     /// (`sampler.chunk_samples_per_sec`) and the `sampler.chunks` /
-    /// `sampler.samples` / `sampler.rng_refills` counters. A detached
-    /// handle (the default) records nothing and reads no clock.
+    /// `sampler.samples` counters. A detached handle (the default)
+    /// records nothing and reads no clock.
     ///
     /// Instrumentation consumes no randomness: pool contents under any
     /// recorder are bit-identical to the no-op run.
@@ -332,8 +332,6 @@ impl<S: SketchShard> SketchPool<S> {
                 }
                 obs.counter_add("sampler.chunks", 1);
                 obs.counter_add("sampler.samples", quota);
-                // One deterministic chunk-RNG reseed per chunk.
-                obs.counter_add("sampler.rng_refills", 1);
             }
             (covers, shard, empties)
         };

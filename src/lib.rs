@@ -289,8 +289,7 @@
 //!   boundaries, and the honest `engine.achieved_epsilon` gauge;
 //! * **sampler** — per chunk: `sampler.chunk_secs`,
 //!   `sampler.chunk_samples_per_sec`, and the
-//!   `sampler.{chunks,samples,rng_refills}` counters (a refill is one
-//!   per-chunk RNG reseed from the deterministic schedule);
+//!   `sampler.{chunks,samples}` counters;
 //! * **online epochs** — `online.{epochs,invalidated,resampled,
 //!   compactions,rollbacks}` counters, `online.epoch.{apply,refresh}_secs`
 //!   spans, `online.epoch_commit` / `online.rollback` (with cause)

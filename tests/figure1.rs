@@ -1,11 +1,13 @@
 //! Figure 1 of the paper, checked through every evaluation path in the
 //! workspace: exact enumeration, coupled Monte-Carlo, PRR-graph pools,
-//! the µ-model simulator, and PRR-Boost itself.
+//! the µ-model simulator, and PRR-Boost itself (IMM and, through the
+//! engine, SSA sampling).
 
 use kboost::core::{prr_boost, prr_boost_lb, BoostOptions};
 use kboost::diffusion::exact::{exact_boost, exact_sigma};
 use kboost::diffusion::monte_carlo::{estimate_boost, estimate_sigma, McConfig};
 use kboost::diffusion::mu_model::estimate_mu;
+use kboost::engine::{Algorithm, EngineBuilder, Sampling};
 use kboost::graph::{DiGraph, GraphBuilder, NodeId};
 
 fn figure1() -> DiGraph {
@@ -95,6 +97,19 @@ fn prr_boost_picks_v0_and_pool_estimates_match() {
         );
         assert!(mu_hat <= est + 0.01, "µ̂ must lower-bound Δ̂");
     }
+
+    // The engine's SSA sampler makes the same Sandwich pick.
+    let mut engine = EngineBuilder::new(g)
+        .seeds(S)
+        .k(1)
+        .threads(2)
+        .seed(71)
+        .sampling(Sampling::Ssa { initial: 2_000 })
+        .max_sketches(400_000)
+        .build()
+        .unwrap();
+    let ssa = engine.solve(&Algorithm::Sandwich).unwrap();
+    assert_eq!(ssa.boost_set, vec![NodeId(1)], "SSA sampling picks v0");
 }
 
 #[test]
